@@ -25,10 +25,16 @@ prewarm-overhead guard (PR 8) and a continuous-batching guard (PR 9):
 * **Outage** — a run passing disabled outage/degradation configs (PR 10)
   vs one passing none. Acceptance bar: bit-identical outputs and **≤ 10%
   overhead** — the defaults-off fault layer must stay free.
+* **Decision** — one DeepBAT ``choose()`` (window → surrogate forward over
+  the candidate grid → SLO-aware search) on the graph-free ``infer`` path
+  vs the Tensor-based inference spec in ``tests/core/_spec.py``, on a
+  small in-test surrogate. Acceptance bar: bit-identical predictions and
+  decisions, and **≥ 2×** faster.
 
 Every "before" implementation is the executable specification kept in the
 tree (``ReferenceWarmPool``, ``_drive_lanes_scan``, the stepwise
-``_step`` loop), so the comparison stays honest as the code evolves.
+``_step`` loop, the Tensor inference spec), so the comparison stays honest
+as the code evolves.
 
 Run via ``make bench-serving`` (or ``make bench-perf`` for all perf
 benchmarks); results land in ``BENCH_serving.json`` at the repo root.
@@ -433,3 +439,71 @@ def test_fleet_throughput():
     }
     _merge_results("fleet", payload)
     print(f"\nfleet: {json.dumps(payload)}")
+
+
+def test_decision_speedup_floor():
+    """DeepBAT decisions: graph-free ``infer`` ≥ 2× the Tensor spec path,
+    predictions and chosen configurations bit-identical."""
+    from repro.batching.config import config_grid
+    from repro.core.controller import DeepBATController
+    from repro.core.dataset import generate_dataset
+    from repro.core.surrogate import DeepBATSurrogate
+    from repro.core.training import TrainConfig, TrainedSurrogate, train_surrogate
+    from tests.core._spec import spec_predict
+
+    class SpecSurrogate(DeepBATSurrogate):
+        """The surrogate with inference through the Tensor forward."""
+
+        def predict(self, sequence, features):
+            return spec_predict(self, sequence, features)
+
+    seq_len = 32
+    grid = config_grid()
+    ts = _reference_trace(n=12_000, rate=400.0, seed=5)
+    gaps = np.diff(ts)
+    dataset = generate_dataset(gaps, n_samples=200, seq_len=seq_len,
+                               configs=grid, seed=0)
+    trained = train_surrogate(
+        dataset,
+        model=DeepBATSurrogate(seq_len=seq_len, d_model=8, num_heads=2,
+                               ff_hidden=16, num_layers=1, seed=0),
+        config=TrainConfig(epochs=2, batch_size=32, patience=None, seed=0),
+    )
+    spec_model = SpecSurrogate(**trained.model.hyperparameters, seed=0)
+    spec_model.load_state_dict(trained.model.state_dict())
+    spec = TrainedSurrogate(model=spec_model, pipeline=trained.pipeline,
+                            history=trained.history)
+    slo = 0.1
+    # The engine's view: a growing history tail, one decision per window.
+    windows = [gaps[max(0, end - 4096):end] for end in range(64, gaps.size, 40)]
+
+    def decide(surrogate):
+        ctrl = DeepBATController(surrogate, configs=grid)
+        return [ctrl.choose(w, slo) for w in windows]
+
+    (spec_s, before), (infer_s, after) = _best_of_pair(
+        lambda: decide(spec), lambda: decide(trained), repeats=5
+    )
+
+    # Equivalence first — a fast wrong answer is no speedup.
+    for a, b in zip(before, after):
+        assert np.array_equal(a.predictions, b.predictions)
+        assert a.config == b.config
+    n = len(windows)
+    speedup = spec_s / infer_s
+    payload = {
+        "n_decisions": n,
+        "n_configs": len(grid),
+        "seq_len": seq_len,
+        "spec_seconds": round(spec_s, 4),
+        "infer_seconds": round(infer_s, 4),
+        "spec_ms_per_choose": round(1e3 * spec_s / n, 4),
+        "infer_ms_per_choose": round(1e3 * infer_s / n, 4),
+        "speedup": round(speedup, 2),
+        "predictions_bit_identical": True,
+    }
+    _merge_results("decision", payload)
+    print(f"\ndecision: {json.dumps(payload)}")
+    assert speedup >= 2.0, (
+        f"graph-free DeepBAT decisions only {speedup:.2f}x over the Tensor path"
+    )

@@ -85,12 +85,7 @@ class DeepBATSurrogate(Module):
                                 dropout=dropout, seed=rng)
 
     # ------------------------------------------------------------- forward
-    def forward(self, sequence: Tensor, features: Tensor) -> Tensor:
-        """Predict O for scaled inputs.
-
-        ``sequence``: (batch, seq_len) scaled inter-arrival windows;
-        ``features``: (batch, n_features) standardized (M, B, T).
-        """
+    def _check_inputs(self, sequence, features) -> None:
         if sequence.ndim != 2 or sequence.shape[1] != self.seq_len:
             raise ValueError(
                 f"sequence must be (batch, {self.seq_len}), got {sequence.shape}"
@@ -99,6 +94,14 @@ class DeepBATSurrogate(Module):
             raise ValueError(
                 f"features must be (batch, {self.n_features}), got {features.shape}"
             )
+
+    def forward(self, sequence: Tensor, features: Tensor) -> Tensor:
+        """Predict O for scaled inputs — the training path (autograd tape).
+
+        ``sequence``: (batch, seq_len) scaled inter-arrival windows;
+        ``features``: (batch, n_features) standardized (M, B, T).
+        """
+        self._check_inputs(sequence, features)
         batch = sequence.shape[0]
         e_seq = self.seq_embed(sequence.reshape(batch, self.seq_len, 1))  # Eq. 1
         e_pos = self.pos_enc(e_seq)
@@ -108,15 +111,30 @@ class DeepBATSurrogate(Module):
         e_2 = self.feat_embed(features)  # Eq. 5
         return self.head(F.concat([e_1, e_2], axis=-1))  # Eq. 6
 
+    def _encode(self, sequence: np.ndarray) -> np.ndarray:
+        """Graph-free sequence branch: windows (batch, L) -> E_1 (batch, d)."""
+        batch = sequence.shape[0]
+        e_seq = self.seq_embed.infer(sequence.reshape(batch, -1, 1))
+        e_trans = self.encoder.infer(self.pos_enc.infer(e_seq))
+        e_p = F.mean_array(e_trans, 1)
+        return self.fusion_attn.infer(e_p, e_p, e_p)
+
+    def infer(self, sequence: np.ndarray, features: np.ndarray) -> np.ndarray:
+        """Graph-free :meth:`forward` on arrays: identical values, no tape,
+        no train/eval flip (dropout is the identity at inference)."""
+        self._check_inputs(sequence, features)
+        e_1 = self._encode(sequence)
+        e_2 = self.feat_embed.infer(features)
+        return self.head.infer(np.concatenate([e_1, e_2], axis=-1))
+
     # --------------------------------------------------------- conveniences
     def predict(self, sequence: np.ndarray, features: np.ndarray) -> np.ndarray:
-        """Eval-mode forward on raw arrays; returns a NumPy array."""
-        self.eval()
+        """Inference on raw arrays; returns a NumPy array."""
         seq = np.atleast_2d(np.asarray(sequence, dtype=float))
         feats = np.atleast_2d(np.asarray(features, dtype=float))
         if seq.shape[0] == 1 and feats.shape[0] > 1:
             return self.predict_grid(seq[0], feats)
-        return self.forward(Tensor(seq), Tensor(feats)).data
+        return self.infer(seq, feats)
 
     def predict_grid(self, sequence: np.ndarray, features: np.ndarray) -> np.ndarray:
         """One window × many candidate configurations (§III-E fast path).
@@ -126,19 +144,14 @@ class DeepBATSurrogate(Module):
         output head are batched over the candidate grid. Numerically
         identical to tiling the window through :meth:`forward`.
         """
-        self.eval()
         seq = np.asarray(sequence, dtype=float).reshape(1, -1)
         if seq.shape[1] != self.seq_len:
             raise ValueError(f"sequence must have length {self.seq_len}")
         feats = np.atleast_2d(np.asarray(features, dtype=float))
-        n = feats.shape[0]
-        e_seq = self.seq_embed(Tensor(seq.reshape(1, self.seq_len, 1)))
-        e_trans = self.encoder(self.pos_enc(e_seq))
-        e_p = F.mean_pool(e_trans, axis=1)
-        e_1 = self.fusion_attn(e_p, e_p, e_p)  # (1, d_model)
-        e_1_grid = Tensor(np.broadcast_to(e_1.data, (n, self.d_model)).copy())
-        e_2 = self.feat_embed(Tensor(feats))
-        return self.head(F.concat([e_1_grid, e_2], axis=-1)).data
+        e_1 = self._encode(seq)  # (1, d_model)
+        e_2 = self.feat_embed.infer(feats)
+        e_1_grid = np.broadcast_to(e_1, (feats.shape[0], self.d_model))
+        return self.head.infer(np.concatenate([e_1_grid, e_2], axis=-1))
 
     def attention_scores(self, sequence: np.ndarray) -> np.ndarray:
         """Aggregated encoder attention over the input positions (Fig. 14).
@@ -147,13 +160,12 @@ class DeepBATSurrogate(Module):
         the column-wise attention mass each position receives, averaged
         over layers and heads, normalized to sum to 1.
         """
-        self.eval()
         seq = np.atleast_2d(np.asarray(sequence, dtype=float))
         batch = seq.shape[0]
-        e_seq = self.seq_embed(Tensor(seq.reshape(batch, -1, 1)))
-        self.encoder(self.pos_enc(e_seq))
+        e_seq = self.seq_embed.infer(seq.reshape(batch, -1, 1))
+        self.encoder.infer(self.pos_enc.infer(e_seq))
         maps = self.encoder.attention_maps()  # [(batch, heads, L, L)] per layer
         agg = np.mean([m.mean(axis=1) for m in maps], axis=0)  # (batch, L, L)
         received = agg.mean(axis=1)  # attention mass received per position
         received = received / received.sum(axis=-1, keepdims=True)
-        return received[0] if sequence.ndim == 1 else received
+        return received[0] if np.ndim(sequence) == 1 else received

@@ -186,16 +186,18 @@ def train_surrogate(
 
     if best_state is not None:
         model.load_state_dict(best_state)
+    model.eval()  # hand back a model whose forward() is deterministic
     return TrainedSurrogate(model=model, pipeline=pipeline, history=history)
 
 
 def _validate(model: DeepBATSurrogate, val_set: ArrayDataset, cfg: TrainConfig) -> tuple[float, float]:
-    model.eval()
+    # Inference only: predict() builds no autograd graph over the whole
+    # validation set (the loss is read, never differentiated).
     seq, feats, tgt = val_set[np.arange(len(val_set))]
-    pred = model(Tensor(seq), Tensor(feats))
-    loss = combined_loss(pred, Tensor(tgt), alpha=cfg.alpha, delta=cfg.huber_delta)
+    pred = model.predict(seq, feats)
+    loss = combined_loss(Tensor(pred), Tensor(tgt), alpha=cfg.alpha, delta=cfg.huber_delta)
     mape = float(
-        np.mean(np.abs(pred.data - tgt) / np.maximum(np.abs(tgt), 1e-8)) * 100.0
+        np.mean(np.abs(pred - tgt) / np.maximum(np.abs(tgt), 1e-8)) * 100.0
     )
     return loss.item(), mape
 

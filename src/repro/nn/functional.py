@@ -14,15 +14,21 @@ import numpy as np
 from repro.nn.tensor import Tensor, _unbroadcast
 
 
+def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Numerically stable softmax of a plain array (no tape): the value
+    :func:`softmax` computes, shared by the graph-free inference path."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis`` with a fused backward.
 
     The Jacobian-vector product is ``s * (g - (g * s).sum(axis))`` which
     avoids materializing the full Jacobian.
     """
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = softmax_array(x.data, axis=axis)
 
     def backward(g: np.ndarray) -> None:
         dot = (g * s).sum(axis=axis, keepdims=True)
@@ -98,6 +104,13 @@ def masked_fill(x: Tensor, mask: np.ndarray, value: float) -> Tensor:
         x._accumulate(np.where(mask, 0.0, g))
 
     return Tensor._from_op(data, (x,), backward)
+
+
+def mean_array(x: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
+    """Mean of a plain array over one axis, computed as :meth:`Tensor.mean`
+    does (sum times ``1/n``), so the graph-free path matches it bit for
+    bit — ``np.mean`` divides by ``n`` and can differ in the last bit."""
+    return x.sum(axis=axis, keepdims=keepdims) * (1.0 / x.shape[axis])
 
 
 def mean_pool(x: Tensor, axis: int = 1) -> Tensor:

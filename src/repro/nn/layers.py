@@ -3,6 +3,14 @@
 The :class:`Module` base class provides recursive parameter discovery,
 train/eval mode switching, and state-dict (de)serialization — the minimal
 surface the DeepBAT surrogate needs from a framework.
+
+Layers on the surrogate's path have two entry points. ``forward`` is the
+training path: it records an autograd tape and honours train/eval mode.
+``infer`` is the graph-free inference path: it takes and returns plain
+arrays, runs the NumPy expressions of ``forward`` in the same order (so
+``layer.infer(x)`` equals ``layer(Tensor(x)).data`` in eval mode, bit for
+bit), builds no tape, and never reads or flips the mode — dropout is the
+identity at inference.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.nn import init as _init
-from repro.nn.functional import dropout_mask
+from repro.nn.functional import dropout_mask, mean_array
 from repro.nn.tensor import Tensor
 from repro.utils.rng import as_rng
 
@@ -132,6 +140,12 @@ class Linear(Module):
             out = out + self.bias
         return out
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        out = x @ self.weight.data
+        if self.bias is not None:
+            out = out + self.bias.data
+        return out
+
 
 class LayerNorm(Module):
     """Layer normalization over the last axis with learnable scale/shift."""
@@ -149,6 +163,13 @@ class LayerNorm(Module):
         var = (centered * centered).mean(axis=-1, keepdims=True)
         normed = centered / (var + self.eps).sqrt()
         return normed * self.gamma + self.beta
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        mu = mean_array(x, -1, keepdims=True)
+        centered = x - mu
+        var = mean_array(centered * centered, -1, keepdims=True)
+        normed = centered / np.sqrt(var + self.eps)
+        return normed * self.gamma.data + self.beta.data
 
 
 class Dropout(Module):
@@ -214,3 +235,7 @@ class FeedForward(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return self.fc2(self.drop(self.fc1(x).relu()))
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        h = self.fc1.infer(x)
+        return self.fc2.infer(h * (h > 0))  # Tensor.relu's expression

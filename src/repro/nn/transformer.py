@@ -36,13 +36,18 @@ class PositionalEncoding(Module):
         self.table = sinusoidal_positional_encoding(max_len, dim)
         self.drop = Dropout(dropout, seed=seed)
 
-    def forward(self, x: Tensor) -> Tensor:
-        seq = x.shape[-2]
+    def _rows(self, seq: int) -> np.ndarray:
         if seq > self.table.shape[0]:
             raise ValueError(
                 f"sequence length {seq} exceeds positional table ({self.table.shape[0]})"
             )
-        return self.drop(x + self.table[:seq])
+        return self.table[:seq]
+
+    def forward(self, x: Tensor) -> Tensor:
+        return self.drop(x + self._rows(x.shape[-2]))
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return x + self._rows(x.shape[-2])
 
 
 class TransformerEncoderLayer(Module):
@@ -69,6 +74,10 @@ class TransformerEncoderLayer(Module):
         x = self.norm1(x + self.drop1(self.attn(x, x, x, mask=mask)))
         x = self.norm2(x + self.drop2(self.ff(x)))
         return x
+
+    def infer(self, x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+        x = self.norm1.infer(x + self.attn.infer(x, x, x, mask=mask))
+        return self.norm2.infer(x + self.ff.infer(x))
 
 
 class TransformerEncoder(Module):
@@ -97,6 +106,12 @@ class TransformerEncoder(Module):
             x = layer(x, mask=mask)
         return x
 
+    def infer(self, x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+        for layer in self.layers:
+            x = layer.infer(x, mask=mask)
+        return x
+
     def attention_maps(self) -> list[np.ndarray]:
-        """Per-layer attention weights from the most recent forward pass."""
+        """Per-layer attention weights from the most recent forward or
+        infer pass."""
         return [layer.attn.last_weights for layer in self.layers]

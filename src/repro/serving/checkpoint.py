@@ -38,7 +38,9 @@ import numpy as np
 from repro.utils.io import atomic_write
 
 #: Bump when the snapshot layout changes; restore refuses other formats.
-SNAPSHOT_FORMAT = 1
+#: Format 2: the run state keeps the pre-run history tail as an array and
+#: derives the observation window from the served timestamps.
+SNAPSHOT_FORMAT = 2
 
 
 class CheckpointError(RuntimeError):

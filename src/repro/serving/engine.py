@@ -183,7 +183,10 @@ class _RunState:
     seq: int
     queue: deque
     timers: set
-    recent_ts: deque
+    #: The last ``history_tail + 1`` pre-run timestamps (the ``history``
+    #: argument of :meth:`ServingEngine.run`); with ``ts[:arrival_ptr]``
+    #: it forms the controller's observation window (``_recent_ts``).
+    history: np.ndarray
     active: BatchConfig
     target: BatchConfig
     reconfig_gen: int = 0
@@ -620,10 +623,10 @@ class ServingEngine:
         record_trace: bool,
     ) -> _RunState:
         n = ts.size
-        recent_ts: deque = deque(maxlen=self.history_tail + 1)
-        if history is not None:
-            for t in np.asarray(history, dtype=float)[-(self.history_tail + 1):]:
-                recent_ts.append(float(t))
+        history = (
+            np.asarray(history, dtype=float)[-(self.history_tail + 1):].copy()
+            if history is not None else np.empty(0)
+        )
         st = _RunState(
             name=name,
             trace_name=trace_name,
@@ -635,7 +638,7 @@ class ServingEngine:
             seq=0,
             queue=deque(),
             timers=set(),
-            recent_ts=recent_ts,
+            history=history,
             active=self.initial_config,
             target=self.initial_config,
             latencies=np.full(n, np.nan),
@@ -710,7 +713,7 @@ class ServingEngine:
             st.counters["prewarm_ticks"] = 0
             st.counters["prewarm_cost"] = 0.0
             # First tick at the trace start: with warmup ``history`` seeding
-            # recent_ts the forecaster can cover the opening burst front.
+            # the window the forecaster can cover the opening burst front.
             self._push(st, float(ts[0]), _P_PREWARM, _K_PREWARM, None)
         return st
 
@@ -933,7 +936,6 @@ class ServingEngine:
         heap = st.heap
         buffer = st.buffer
         timers = st.timers
-        recent_ts = st.recent_ts
         trace = st.trace
         drift_every = self.drift_check_every
         check_drift = self._drift_enabled
@@ -955,7 +957,6 @@ class ServingEngine:
                 st.clock = t
                 st.arrival_ptr = ptr = ptr + 1
                 st.arrivals_seen += 1
-                recent_ts.append(t)
                 if trace is not None:
                     trace.append(("arrival", t, ptr - 1))
                 before = len(heap)
@@ -1070,7 +1071,6 @@ class ServingEngine:
         st.clock = now
         st.arrival_ptr += 1
         st.arrivals_seen += 1
-        st.recent_ts.append(now)
         if st.trace is not None or ctx.journal is not None:
             self._emit(st, ctx, ("arrival", now, i))
         registry = ctx.registry
@@ -1953,13 +1953,26 @@ class ServingEngine:
             self._push(st, now + self.deploy_delay_s, _P_RECONFIGURE,
                        _K_RECONFIGURE, (st.reconfig_gen, record, now, reason))
 
+    def _recent_ts(self, st: _RunState, k: int | None = None) -> np.ndarray:
+        """The last ``k`` arrival timestamps observed so far (default and
+        cap: ``history_tail + 1``): the pre-run history tail followed by
+        ``ts[:arrival_ptr]``. Once the run has served ``k`` arrivals this
+        is a view of ``st.ts`` — no per-arrival bookkeeping, no copy;
+        only at the start of a run is the history tail concatenated."""
+        cap = self.history_tail + 1
+        k = cap if k is None else min(k, cap)
+        ptr = st.arrival_ptr
+        if ptr >= k:
+            return st.ts[ptr - k:ptr]
+        return np.concatenate((st.history[ptr - k:], st.ts[:ptr]))
+
     def _on_decision(self, st: _RunState, ctx: _RunContext, now: float,
                      reason: str) -> None:
         registry = ctx.registry
         if self.chooser is None:
             return
         suppressed = st.guardrail is not None and st.guardrail.state == OPEN
-        hist = np.diff(np.asarray(st.recent_ts, dtype=float))
+        hist = np.diff(self._recent_ts(st))
         if suppressed:
             # The breaker is open: the fallback configuration stays pinned
             # and the learned controller does not get to reconfigure until
@@ -2066,15 +2079,13 @@ class ServingEngine:
             return
         registry = ctx.registry
         detector = self.drift_detector
+        recent = self._recent_ts(st, self.drift_window + 1)
         if (
             detector is not None
             and detector.lo_ is not None
-            and len(st.recent_ts) > self.drift_window
+            and recent.size > self.drift_window
         ):
-            window = np.diff(
-                np.asarray(st.recent_ts, dtype=float)[-(self.drift_window + 1):]
-            )
-            score = detector.score(window)
+            score = detector.score(np.diff(recent))
             if score >= detector.threshold:
                 st.counters["drift"] += 1
                 st.cooldown_until = now + self.drift_cooldown_s
@@ -2116,7 +2127,7 @@ class ServingEngine:
     def _on_retrain(self, st: _RunState, ctx: _RunContext, now: float) -> None:
         st.retrain_pending = False
         st.counters["retrains"] += 1
-        recent = np.diff(np.asarray(st.recent_ts, dtype=float))
+        recent = np.diff(self._recent_ts(st))
         if self.drift_detector is not None:
             try:
                 self.drift_detector.fit(recent, self.drift_window)
@@ -2152,9 +2163,7 @@ class ServingEngine:
             pw.horizon_s if pw.horizon_s is not None
             else pw.interval_s + cold_delay
         )
-        recent = np.diff(
-            np.asarray(st.recent_ts, dtype=float)[-(pw.window + 1):]
-        )
+        recent = np.diff(self._recent_ts(st, pw.window + 1))
         service = float(
             self.platform.profile.service_time(tier, st.active.batch_size)
         )

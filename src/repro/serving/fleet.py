@@ -664,8 +664,8 @@ class FleetEngine:
     def _scheduler_tick(self, lanes, now: float) -> int:
         """Run one fleet arbitration; returns 1 if a plan was applied."""
         histories = {
-            spec.name: np.diff(np.asarray(st.recent_ts, dtype=float))
-            for spec, (_eng, st, _ctx) in zip(self.endpoints, lanes)
+            spec.name: np.diff(eng._recent_ts(st))
+            for spec, (eng, st, _ctx) in zip(self.endpoints, lanes)
         }
         plan = self.scheduler.decide(histories, self.endpoints)
         if plan is None:

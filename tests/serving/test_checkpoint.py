@@ -170,6 +170,25 @@ class TestRestoreValidation:
         with pytest.raises(CheckpointError, match="unsupported format"):
             build_engine().restore(path)
 
+    def test_format_1_snapshot_is_refused(self, tmp_path):
+        # Format 1 run states carried a per-arrival window deque; format 2
+        # derives the window from the served timestamps, so an older
+        # snapshot cannot be resumed and must say so.
+        ts = trace(n=400)
+        ck = tmp_path / "v1.ckpt"
+        with pytest.raises(SimulatedCrash):
+            build_engine().run(ts, checkpoint_path=ck, checkpoint_every=32,
+                               crash_after_events=100)
+        with open(ck, "rb") as fh:
+            payload = pickle.load(fh)
+        assert SNAPSHOT_FORMAT == 2 and payload["format"] == 2
+        payload["format"] = 1
+        with open(ck, "wb") as fh:
+            pickle.dump(payload, fh)
+        with pytest.raises(CheckpointError,
+                           match=r"unsupported format 1 \(this build reads format 2\)"):
+            build_engine().restore(ck)
+
     def test_corrupt_snapshot_is_a_clear_error(self, tmp_path):
         path = tmp_path / "torn.ckpt"
         path.write_bytes(b"\x80\x05 definitely not a full pickle")
