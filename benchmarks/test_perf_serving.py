@@ -13,7 +13,7 @@ prewarm-overhead guard (PR 8) and a continuous-batching guard (PR 9):
   identical leases/stats asserted first.
 * **Fleet** — an 8-endpoint fleet on the lane-key-heap loop
   (``FleetEngine._drive_lanes``) vs the scan-every-lane specification
-  (``_drive_lanes_scan``), logs bit-identical.
+  (``ScanFleetEngine``), logs bit-identical.
 * **Prewarm** — the same reference trace with the predictive prewarmer
   ticking at 4 Hz vs prewarm-off. Acceptance bar: **≤ 50% overhead** —
   the forecaster and pool provisioning must not give back the speed pass.
@@ -31,10 +31,11 @@ prewarm-overhead guard (PR 8) and a continuous-batching guard (PR 9):
   small in-test surrogate. Acceptance bar: bit-identical predictions and
   decisions, and **≥ 2×** faster.
 
-Every "before" implementation is the executable specification kept in the
-tree (``ReferenceWarmPool``, ``_drive_lanes_scan``, the stepwise
-``_step`` loop, the Tensor inference spec), so the comparison stays honest
-as the code evolves.
+Every "before" implementation is an executable specification kept in
+``tests/`` (``ReferenceWarmPool`` and ``ScanFleetEngine`` in
+``tests/serving/_spec.py``, the Tensor inference spec in
+``tests/core/_spec.py``) or the engine's own stepwise ``_step`` loop, so
+the comparison stays honest as the code evolves.
 
 Run via ``make bench-serving`` (or ``make bench-perf`` for all perf
 benchmarks); results land in ``BENCH_serving.json`` at the repo root.
@@ -55,7 +56,8 @@ from repro.batching.config import BatchConfig
 from repro.serverless.platform import ServerlessPlatform
 from repro.serving.engine import ServingEngine
 from repro.serving.fleet import EndpointSpec, FleetEngine
-from repro.serving.pool import ReferenceWarmPool, WarmPool, WarmPoolConfig
+from repro.serving.pool import WarmPool, WarmPoolConfig
+from tests.serving._spec import ReferenceWarmPool, ScanFleetEngine
 
 RESULT_PATH = Path(__file__).parent.parent / "BENCH_serving.json"
 
@@ -149,12 +151,6 @@ class _ReferenceEngine(ServingEngine):
         while self._step(st, ctx):
             st.events_processed += 1
         return self._finish(st)
-
-
-class _ScanFleet(FleetEngine):
-    """Fleet on the original scan-every-lane selection loop."""
-
-    _scan_lanes = True
 
 
 def test_engine_throughput_floor():
@@ -420,7 +416,7 @@ def test_fleet_throughput():
         return fleet_cls(endpoints).run(ts, name="bench")
 
     (before_s, before), (after_s, after) = _best_of_pair(
-        lambda: run(_ScanFleet), lambda: run(FleetEngine)
+        lambda: run(ScanFleetEngine), lambda: run(FleetEngine)
     )
 
     for spec in endpoints:

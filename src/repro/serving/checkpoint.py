@@ -40,7 +40,11 @@ from repro.utils.io import atomic_write
 #: Bump when the snapshot layout changes; restore refuses other formats.
 #: Format 2: the run state keeps the pre-run history tail as an array and
 #: derives the observation window from the served timestamps.
-SNAPSHOT_FORMAT = 2
+#: Format 3: every run-state counter exists from the start (no
+#: ``n_failed`` counter: the log derives it from the ``failed`` mask),
+#: completion payloads are ``(container, first_index, size, donor)``, and
+#: the fingerprint groups the drift and prediction-drift knobs.
+SNAPSHOT_FORMAT = 3
 
 
 class CheckpointError(RuntimeError):

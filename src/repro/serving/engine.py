@@ -60,7 +60,6 @@ from __future__ import annotations
 import os
 import pickle
 import sys
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -129,10 +128,9 @@ _P_COLD_RETRY = 8
 _P_HEDGE = 9
 
 # Event-kind strings, interned once: every heap entry carries the same
-# string object, so the dispatch chain's ``==`` checks short-circuit on
-# identity instead of comparing characters. (Plain equality is still the
-# semantics — a heap restored from a pickle compares by value and stays
-# correct, just without the fast path.)
+# string object, so the handler-table lookup matches on identity instead
+# of comparing characters. (Plain equality is still the semantics — a heap
+# restored from a pickle looks its kinds up by value.)
 _K_ARRIVAL = sys.intern("arrival")
 _K_COMPLETION = sys.intern("completion")
 _K_TIMER = sys.intern("timer")
@@ -147,20 +145,12 @@ _K_HEDGE = sys.intern("hedge")
 
 _INF = float("inf")
 
-#: Flat keyword argument -> grouped-config field name for the shim.
-_FLAT_DRIFT_KWARGS = {
-    "drift_detector": "detector",
-    "drift_window": "window",
-    "drift_check_every": "check_every",
-    "drift_cooldown_s": "cooldown_s",
-    "retrain_delay_s": "retrain_delay_s",
-    "on_retrain": "on_retrain",
-}
-_FLAT_PREDICTION_KWARGS = {
-    "prediction_baseline_error": "baseline_error",
-    "prediction_tolerance": "tolerance",
-    "prediction_min_samples": "min_samples",
-}
+# What one ``_execute`` call runs (see its docstring): the primary dispatch
+# runs every stage; a failed-over batch skips the crash hazard and hedging;
+# a hedge duplicate also skips per-attempt faults.
+_PRIMARY = 0
+_FAILOVER = 1
+_HEDGE = 2
 
 
 @dataclass
@@ -199,8 +189,7 @@ class _RunState:
     guardrail: SLOGuardrail | None = None
     clock: float = -np.inf
     events_processed: int = 0
-    # Generation mode (None/absent unless a GenerationConfig is set, so a
-    # defaults-off run's state — and old snapshots — are untouched).
+    # Generation mode (None unless a GenerationConfig is set).
     prompt_tokens: np.ndarray | None = None
     output_tokens: np.ndarray | None = None
     ttft: np.ndarray | None = None
@@ -208,9 +197,8 @@ class _RunState:
     gen_queue: deque | None = None
     gen_sessions: dict | None = None
     gen_session_meta: dict | None = None
-    # Infrastructure faults & degradation (PR 10); None/absent unless an
-    # OutageModel/DegradeConfig needs them, so a defaults-off run's state —
-    # and old snapshots — are untouched.
+    # Infrastructure faults & degradation (None unless an
+    # OutageModel/DegradeConfig or fleet failover needs them).
     inflight: dict | None = None
     hedge_obs: deque | None = None
     hedged: np.ndarray | None = None
@@ -241,9 +229,12 @@ class _RunContext:
     replay_expect: list | None = None
     replay_pos: int = 0
     timers: StageTimers = NULL_TIMERS
-    #: ``(memory_mb, size) -> service_time`` (fault path: cost is drawn).
+    #: ``(memory_mb, size) -> service_time`` (request-level batches).
     service_cache: dict = field(default_factory=dict)
-    #: ``(memory_mb, size, cold_delay) -> (service_time, cost)``.
+    #: ``(memory_mb, size) -> (ttft, tpot)`` (generation-buffer batches);
+    #: its own dict, so token timings never alias a service time.
+    token_cache: dict = field(default_factory=dict)
+    #: ``(memory_mb, billed_seconds) -> invocation cost``.
     cost_cache: dict = field(default_factory=dict)
     #: ``container_id -> straggler slowdown`` — a pure function of the
     #: outage model's seed and the id, so restores rebuild it exactly.
@@ -337,15 +328,6 @@ class ServingEngine:
         default ``"serving"`` keeps the historical names; the fleet runs
         each endpoint under ``serving.<endpoint>`` so two endpoints never
         share a counter.
-
-    The pre-PR-6 flat keyword arguments (``drift_detector``,
-    ``drift_window``, ``drift_check_every``, ``drift_cooldown_s``,
-    ``retrain_delay_s``, ``on_retrain``, ``prediction_baseline_error``,
-    ``prediction_tolerance``, ``prediction_min_samples``) still work
-    through a deprecation shim — they are folded into the grouped configs
-    with a single :class:`DeprecationWarning` per call and zero behavior
-    change. Mixing a grouped config with flat kwargs of the same group is
-    ambiguous and raises ``ValueError``.
     """
 
     #: Fleet-failover wiring, set per lane by ``FleetEngine.run`` (the
@@ -374,11 +356,7 @@ class ServingEngine:
         outages: OutageModel | None = None,
         degrade: DegradeConfig | None = None,
         metrics_prefix: str = "serving",
-        **deprecated_kwargs,
     ) -> None:
-        drift, prediction = self._apply_deprecated_kwargs(
-            drift, prediction, deprecated_kwargs
-        )
         if slo <= 0:
             raise ValueError(f"slo must be > 0, got {slo}")
         if deploy_delay_s < 0:
@@ -404,24 +382,6 @@ class ServingEngine:
         self.min_history = min_history
         self.drift_config = drift if drift is not None else DriftConfig()
         self.prediction_config = prediction
-        # Flat views of the grouped configs: the event loop and the
-        # checkpoint fingerprint read these, so old checkpoints (written
-        # before the grouped API) keep restoring.
-        self.drift_detector = self.drift_config.detector
-        self.drift_window = self.drift_config.window
-        self.drift_check_every = self.drift_config.check_every
-        self.drift_cooldown_s = self.drift_config.cooldown_s
-        self.retrain_delay_s = self.drift_config.retrain_delay_s
-        self.on_retrain = self.drift_config.on_retrain
-        self.prediction_baseline_error = (
-            prediction.baseline_error if prediction is not None else None
-        )
-        self.prediction_tolerance = (
-            prediction.tolerance if prediction is not None else 2.0
-        )
-        self.prediction_min_samples = (
-            prediction.min_samples if prediction is not None else 64
-        )
         self.sequence_length = _resolve_sequence_length(chooser, sequence_length)
         self.guardrail_config = guardrail
         self.prewarm_config = prewarm
@@ -485,11 +445,16 @@ class ServingEngine:
         self._outage_windows = oc is not None and bool(oc.windows)
         self._hedge = dc.hedge if dc is not None else None
         self._backoff = dc.backoff if dc is not None else None
-        # _degrade_mode routes _start_batch through the fault-layer variant;
-        # a windows-only model keeps the plain path (windows affect only
+        # A primary batch completes at ``start + duration`` under the
+        # fault layer's hazards and in buffer generation mode, and at
+        # ``start + cold + service + fault`` otherwise — the association
+        # of BatchExecution.completion_times, which keeps the static
+        # engine bitwise equal to the offline simulator. A windows-only
+        # outage model keeps the plain association (windows affect only
         # pool admission and the cold-start backoff).
-        self._degrade_mode = (
+        self._by_duration = (
             self._crash_hazard or self._straggler or self._hedge is not None
+            or self._gen_buffer
         )
         self.metrics_prefix = metrics_prefix
         # Hot-path flags hoisted out of the event loop: with neither drift
@@ -497,70 +462,24 @@ class ServingEngine:
         # — an unconfigured _check_drift is a no-op), and completion
         # latencies only accumulate when the prediction trigger reads them.
         self._drift_enabled = (
-            self.drift_detector is not None
-            or self.prediction_baseline_error is not None
+            self.drift_config.detector is not None or prediction is not None
         )
-        self._track_latencies = self.prediction_baseline_error is not None
-
-    @staticmethod
-    def _apply_deprecated_kwargs(
-        drift: DriftConfig | None,
-        prediction: PredictionDriftConfig | None,
-        kwargs: dict,
-    ) -> tuple[DriftConfig | None, PredictionDriftConfig | None]:
-        """Fold pre-PR-6 flat keyword arguments into the grouped configs.
-
-        Emits exactly one :class:`DeprecationWarning` naming every flat
-        kwarg used; unknown keyword arguments raise ``TypeError`` as a
-        normal signature would.
-        """
-        unknown = set(kwargs) - set(_FLAT_DRIFT_KWARGS) - set(_FLAT_PREDICTION_KWARGS)
-        if unknown:
-            raise TypeError(
-                f"ServingEngine got unexpected keyword arguments: "
-                f"{sorted(unknown)}"
-            )
-        if not kwargs:
-            return drift, prediction
-        warnings.warn(
-            "ServingEngine flat keyword arguments ("
-            + ", ".join(sorted(kwargs))
-            + ") are deprecated; pass drift=DriftConfig(...) / "
-            "prediction=PredictionDriftConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        drift_flat = {
-            field: kwargs[name]
-            for name, field in _FLAT_DRIFT_KWARGS.items()
-            if name in kwargs
+        self._track_latencies = prediction is not None
+        # The one event-dispatch table: both drive loops look every event
+        # kind up here, and every handler takes ``(st, ctx, now, payload)``.
+        self._handlers = {
+            _K_ARRIVAL: self._on_arrival,
+            _K_COMPLETION: self._on_completion,
+            _K_TIMER: self._on_timer,
+            _K_RECONFIGURE: self._on_reconfigure,
+            _K_DECISION: self._on_decision,
+            _K_RETRAIN: self._on_retrain,
+            _K_PREWARM: self._on_prewarm,
+            _K_GENSTEP: self._on_gen_step,
+            _K_CRASH: self._on_crash,
+            _K_COLD_RETRY: self._on_cold_retry,
+            _K_HEDGE: self._on_hedge,
         }
-        pred_flat = {
-            field: kwargs[name]
-            for name, field in _FLAT_PREDICTION_KWARGS.items()
-            if name in kwargs
-        }
-        if drift_flat:
-            if drift is not None:
-                raise ValueError(
-                    "pass either drift=DriftConfig(...) or the flat drift_* "
-                    "kwargs, not both"
-                )
-            drift = DriftConfig(**drift_flat)
-        if pred_flat:
-            if prediction is not None:
-                raise ValueError(
-                    "pass either prediction=PredictionDriftConfig(...) or "
-                    "the flat prediction_* kwargs, not both"
-                )
-            baseline = pred_flat.pop("baseline_error", None)
-            # Old semantics: the trigger is enabled iff a baseline error is
-            # given; tolerance/min_samples alone configured a disabled
-            # trigger and were (harmlessly) ignored.
-            if baseline is not None:
-                prediction = PredictionDriftConfig(baseline_error=baseline,
-                                                   **pred_flat)
-        return drift, prediction
 
     # ------------------------------------------------------------------- run
     def run(
@@ -648,9 +567,16 @@ class ServingEngine:
             counters={
                 "reconfigurations": 0, "drift": 0, "pred_drift": 0,
                 "retrains": 0, "shed_batches": 0, "n_retries": 0,
-                "n_failed": 0, "guardrail_trips": 0, "guardrail_restores": 0,
+                "guardrail_trips": 0, "guardrail_restores": 0,
                 "guardrail_probes": 0, "guardrail_suppressed": 0,
-                "checkpoints": 0,
+                "checkpoints": 0, "prewarm_ticks": 0, "prewarm_cost": 0.0,
+                "gen_sessions": 0, "gen_prefill_iterations": 0,
+                "gen_decode_iterations": 0, "gen_tokens": 0, "gen_shed": 0,
+                "crashed_containers": 0, "crash_requeued": 0,
+                "straggler_batches": 0, "cold_retries": 0,
+                "cold_retry_exhausted": 0, "hedges": 0, "hedge_wins": 0,
+                "hedge_denied": 0, "hedge_cost": 0.0, "brownout_shed": 0,
+                "failover_batches": 0,
             },
         )
         if self.guardrail_config is not None:
@@ -664,36 +590,15 @@ class ServingEngine:
             )
         gen = self.generation_config
         if gen is not None:
-            # Like the prewarm counters: generation state exists only when
-            # the feature is on, so a defaults-off run's state (and its
-            # snapshots) match the request-level engine exactly.
             st.prompt_tokens, st.output_tokens = gen.length_model.sample(
                 n, gen.seed
             )
             st.ttft = np.full(n, np.nan)
             st.tpot = np.full(n, np.nan)
-            st.counters["gen_sessions"] = 0
-            st.counters["gen_prefill_iterations"] = 0
-            st.counters["gen_decode_iterations"] = 0
-            st.counters["gen_tokens"] = 0
-            st.counters["gen_shed"] = 0
             if self._gen_continuous:
                 st.gen_queue = deque()
                 st.gen_sessions = {}
                 st.gen_session_meta = {}
-        if self.outage_config is not None or self.degrade_config is not None:
-            # Like the prewarm/generation counters: degradation state
-            # exists only when the fault layer or the stack is on, so a
-            # defaults-off run's state (and snapshots) are untouched.
-            st.counters["crashed_containers"] = 0
-            st.counters["crash_requeued"] = 0
-            st.counters["straggler_batches"] = 0
-            st.counters["cold_retries"] = 0
-            st.counters["cold_retry_exhausted"] = 0
-            st.counters["hedges"] = 0
-            st.counters["hedge_wins"] = 0
-            st.counters["hedge_denied"] = 0
-            st.counters["hedge_cost"] = 0.0
         if self._crash_hazard or self._hedge is not None:
             # container_id -> (expected completion, Batch) of the primary
             # dispatch; a crash or hedge check looks its victim up here.
@@ -703,15 +608,10 @@ class ServingEngine:
             st.hedged = np.zeros(n, dtype=bool)
         if self._failover_enabled:
             st.failed_over = np.zeros(n, dtype=bool)
-            st.counters["failover_batches"] = 0
         if n and self.chooser is not None and self.decision_interval_s:
             self._push(st, float(ts[0]) + self.decision_interval_s, _P_DECISION,
                        _K_DECISION, "interval")
         if n and self.prewarm_config is not None:
-            # The prewarm counters exist only when the feature is on, so a
-            # defaults-off run's state (and snapshots) match PR 7 exactly.
-            st.counters["prewarm_ticks"] = 0
-            st.counters["prewarm_cost"] = 0.0
             # First tick at the trace start: with warmup ``history`` seeding
             # the window the forecaster can cover the opening burst front.
             self._push(st, float(ts[0]), _P_PREWARM, _K_PREWARM, None)
@@ -749,7 +649,7 @@ class ServingEngine:
         run — that equivalence is this subsystem's keystone property.
         """
         payload = read_snapshot(path)
-        theirs = payload.get("fingerprint", {})
+        theirs = payload["fingerprint"]
         ours = self._fingerprint()
         mismatched = sorted(
             k for k in set(theirs) | set(ours) if theirs.get(k) != ours.get(k)
@@ -760,12 +660,12 @@ class ServingEngine:
                 f"configured engine; mismatched parameters: {mismatched}"
             )
         st: _RunState = payload["state"]
-        if payload.get("chooser") is not None:
+        if payload["chooser"] is not None:
             self.chooser = pickle.loads(payload["chooser"])
-        if payload.get("detector") is not None and self.drift_detector is not None:
-            self.drift_detector.set_state(payload["detector"])
-        if payload.get("rng_state") is not None:
-            self.platform._rng.bit_generator.state = payload["rng_state"]
+        detector = self.drift_config.detector
+        if payload["detector"] is not None and detector is not None:
+            detector.set_state(payload["detector"])
+        self.platform._rng.bit_generator.state = payload["rng_state"]
 
         journal = Journal(journal_path(path))
         entries_on_disk = journal.read()
@@ -778,7 +678,7 @@ class ServingEngine:
             registry=registry,
             journal=journal,
             snapshot_path=os.fspath(path),
-            checkpoint_every=int(payload.get("checkpoint_every", 256)),
+            checkpoint_every=int(payload["checkpoint_every"]),
             crash_after=crash_after_events,
             replay_expect=replay_expect,
         )
@@ -795,6 +695,7 @@ class ServingEngine:
 
     def _fingerprint(self) -> dict:
         """Engine parameters a checkpoint must agree on to be resumable."""
+        drift = self.drift_config
         return {
             "initial_config": self.initial_config,
             "slo": self.slo,
@@ -803,33 +704,24 @@ class ServingEngine:
             "decision_interval_s": self.decision_interval_s,
             "history_tail": self.history_tail,
             "min_history": self.min_history,
-            "drift_window": self.drift_window,
-            "drift_check_every": self.drift_check_every,
-            "drift_cooldown_s": self.drift_cooldown_s,
-            "retrain_delay_s": self.retrain_delay_s,
-            "prediction_baseline_error": self.prediction_baseline_error,
-            "prediction_tolerance": self.prediction_tolerance,
-            "prediction_min_samples": self.prediction_min_samples,
+            # The drift policy's scalars (the detector and the retrain hook
+            # are objects that never compare equal across processes; like
+            # the prewarm forecaster below, they are restored by
+            # constructing the engine identically).
+            "drift": (drift.window, drift.check_every, drift.cooldown_s,
+                      drift.retrain_delay_s),
+            "prediction": self.prediction_config,
             "sequence_length": self.sequence_length,
             "guardrail": self.guardrail_config,
-            # Scalars only (the forecaster object would never compare equal
-            # across processes — like the drift detector, it is restored by
-            # constructing the engine identically). Disabled → None, which
-            # is also what pre-prewarm checkpoints yield via .get(), so old
-            # snapshots keep restoring.
+            # Disabled features fingerprint as None.
             "prewarm": (
                 self.prewarm_config.fingerprint()
                 if self.prewarm_config is not None else None
             ),
-            # Same contract as prewarm: disabled → None, matching what
-            # pre-generation checkpoints yield via .get().
             "generation": (
                 self.generation_config.fingerprint()
                 if self.generation_config is not None else None
             ),
-            # Same contract again: a disabled (= normalized-away) outage
-            # model or degradation stack fingerprints as None, matching
-            # what pre-PR-10 checkpoints yield via .get().
             "outages": (
                 self.outage_config.fingerprint()
                 if self.outage_config is not None else None
@@ -861,8 +753,8 @@ class ServingEngine:
             "state": st,
             "chooser": chooser_blob,
             "detector": (
-                self.drift_detector.get_state()
-                if self.drift_detector is not None else None
+                self.drift_config.detector.get_state()
+                if self.drift_config.detector is not None else None
             ),
             "rng_state": self.platform._rng.bit_generator.state,
             "journal_entries": ctx.journal.entries,
@@ -915,17 +807,13 @@ class ServingEngine:
     def _drive_fast(self, st: _RunState, ctx: _RunContext) -> None:
         """The uninstrumented hot loop: same events, same order, less work.
 
-        Differences from driving :meth:`_step` in a loop — none of them
-        observable in the outputs:
-
-        * arrivals are consumed in **contiguous runs**: the heap head is
-          read once per run and refreshed only after a handler actually
-          pushed an event, instead of two tuple constructions and a heap
-          peek for every single arrival;
-        * timestamps come from one bulk ``ndarray.tolist()`` conversion
-          instead of a ``float(st.ts[i])`` numpy-scalar unboxing each;
-        * the ``("arrival", ...)`` trace tuple is only built when a trace
-          is being recorded.
+        It dispatches through the same handler table as :meth:`_step`;
+        its only per-event difference is how it picks the next event.
+        Arrivals are consumed in **contiguous runs**: the heap head is
+        read once per run and refreshed only after a handler actually
+        pushed an event, and timestamps come from one bulk
+        ``ndarray.tolist()`` conversion instead of a numpy-scalar
+        unboxing each — none of it observable in the outputs.
 
         Runs that checkpoint, journal, chaos-crash, or emit telemetry keep
         the stepwise loop: snapshots cut at exact event boundaries and the
@@ -934,86 +822,30 @@ class ServingEngine:
         ts = st.ts.tolist()
         n = st.n
         heap = st.heap
-        buffer = st.buffer
-        timers = st.timers
-        trace = st.trace
-        drift_every = self.drift_check_every
-        check_drift = self._drift_enabled
-        continuous = self._gen_continuous
+        handlers = self._handlers
+        on_arrival = self._on_arrival
         events = st.events_processed
         while True:
             if heap:
-                head = heap[0]
-                head_time = head[0]
-                head_prio = head[1]
+                head_time, head_prio = heap[0][0], heap[0][1]
             else:
-                head_time = _INF
-                head_prio = _P_ARRIVAL
+                head_time, head_prio = _INF, _P_ARRIVAL
             ptr = st.arrival_ptr
             while ptr < n:
                 t = ts[ptr]
                 if t > head_time or (t == head_time and head_prio < _P_ARRIVAL):
                     break
-                st.clock = t
-                st.arrival_ptr = ptr = ptr + 1
-                st.arrivals_seen += 1
-                if trace is not None:
-                    trace.append(("arrival", t, ptr - 1))
                 before = len(heap)
-                if continuous:
-                    # Token-streaming arrivals bypass the buffer: they wait
-                    # in the generation queue and join a running session at
-                    # its next iteration boundary.
-                    self._gen_arrival(st, ctx, t, ptr - 1)
-                else:
-                    for batch in buffer.observe(t):
-                        self._dispatch(st, ctx, batch, t)
-                    deadline = buffer.next_deadline()
-                    if deadline is not None and deadline not in timers:
-                        timers.add(deadline)
-                        heappush(heap, (deadline, _P_TIMER, st.seq, _K_TIMER,
-                                        deadline))
-                        st.seq += 1
-                if check_drift and st.arrivals_seen % drift_every == 0:
-                    self._check_drift(st, ctx, t)
+                on_arrival(st, ctx, t, ptr)
+                ptr += 1
                 events += 1
                 if len(heap) != before:
-                    if heap:
-                        head = heap[0]
-                        head_time = head[0]
-                        head_prio = head[1]
-                    else:  # pragma: no cover - handlers only push
-                        head_time = _INF
-                        head_prio = _P_ARRIVAL
+                    head_time, head_prio = heap[0][0], heap[0][1]
             if not heap:
                 break
-            item = heappop(heap)
-            now = item[0]
-            kind = item[3]
+            now, _priority, _seq, kind, payload = heappop(heap)
             st.clock = now
-            if kind == _K_COMPLETION:
-                self._on_completion(st, ctx, now, item[4])
-            elif kind == _K_TIMER:
-                timers.discard(item[4])
-                for batch in buffer.poll(now):
-                    self._dispatch(st, ctx, batch, now)
-                self._arm_timer(st)
-            elif kind == _K_RECONFIGURE:
-                self._on_reconfigure(st, ctx, now, item[4])
-            elif kind == _K_DECISION:
-                self._on_decision(st, ctx, now, item[4])
-            elif kind == _K_RETRAIN:
-                self._on_retrain(st, ctx, now)
-            elif kind == _K_PREWARM:
-                self._on_prewarm(st, ctx, now)
-            elif kind == _K_GENSTEP:
-                self._on_gen_step(st, ctx, now, item[4])
-            elif kind == _K_CRASH:
-                self._on_crash(st, ctx, now, item[4])
-            elif kind == _K_COLD_RETRY:
-                self._on_cold_retry(st, ctx, now, item[4])
-            elif kind == _K_HEDGE:
-                self._on_hedge(st, ctx, now, item[4])
+            handlers[kind](st, ctx, now, payload)
             events += 1
         st.events_processed = events
 
@@ -1042,34 +874,32 @@ class ServingEngine:
         every event is accumulated into a ``serving.perf.*`` stage named
         after its kind — the disabled branch never touches the clock.
         """
-        if st.arrival_ptr >= st.n and not st.heap:
+        heap = st.heap
+        i = st.arrival_ptr
+        if i < st.n and (
+            not heap or (st.ts[i], _P_ARRIVAL) < (heap[0][0], heap[0][1])
+        ):
+            now, kind, payload = float(st.ts[i]), _K_ARRIVAL, i
+        elif heap:
+            now, _priority, _seq, kind, payload = heappop(heap)
+            st.clock = now
+        else:
             return False
-        take_arrival = st.arrival_ptr < st.n and (
-            not st.heap
-            or (st.ts[st.arrival_ptr], _P_ARRIVAL) < (st.heap[0][0], st.heap[0][1])
-        )
+        handler = self._handlers[kind]
         timers = ctx.timers
-        if take_arrival:
-            if timers.enabled:
-                with timers.stage(_K_ARRIVAL):
-                    self._on_arrival(st, ctx)
-            else:
-                self._on_arrival(st, ctx)
-            return True
-        now, _priority, _seq, kind, payload = heappop(st.heap)
-        st.clock = now
         if timers.enabled:
             with timers.stage(kind):
-                self._handle_heap_event(st, ctx, now, kind, payload)
+                handler(st, ctx, now, payload)
         else:
-            self._handle_heap_event(st, ctx, now, kind, payload)
+            handler(st, ctx, now, payload)
         return True
 
-    def _on_arrival(self, st: _RunState, ctx: _RunContext) -> None:
-        i = st.arrival_ptr
-        now = float(st.ts[i])
+    def _on_arrival(self, st: _RunState, ctx: _RunContext, now: float,
+                    i: int) -> None:
+        """Request ``i`` arrives: it joins the buffer (or, in continuous
+        generation mode, the session queue) and may release batches."""
         st.clock = now
-        st.arrival_ptr += 1
+        st.arrival_ptr = i + 1
         st.arrivals_seen += 1
         if st.trace is not None or ctx.journal is not None:
             self._emit(st, ctx, ("arrival", now, i))
@@ -1078,50 +908,31 @@ class ServingEngine:
             registry.counter(f"{self.metrics_prefix}.requests").inc()
         if self._gen_continuous:
             self._gen_arrival(st, ctx, now, i)
-            if self._drift_enabled and st.arrivals_seen % self.drift_check_every == 0:
-                self._check_drift(st, ctx, now)
-            return
-        released = st.buffer.observe(now)
-        if released:
-            timers = ctx.timers
-            if timers.enabled:
-                # Nested stage: dispatch time shows up inside "arrival"
-                # and on its own row.
-                with timers.stage("dispatch"):
+        else:
+            released = st.buffer.observe(now)
+            if released:
+                timers = ctx.timers
+                if timers.enabled:
+                    # Nested stage: dispatch time shows up inside
+                    # "arrival" and on its own row.
+                    with timers.stage("dispatch"):
+                        for batch in released:
+                            self._dispatch(st, ctx, batch, now)
+                else:
                     for batch in released:
                         self._dispatch(st, ctx, batch, now)
-            else:
-                for batch in released:
-                    self._dispatch(st, ctx, batch, now)
-        self._arm_timer(st)
-        if self._drift_enabled and st.arrivals_seen % self.drift_check_every == 0:
+            self._arm_timer(st)
+        if (self._drift_enabled
+                and st.arrivals_seen % self.drift_config.check_every == 0):
             self._check_drift(st, ctx, now)
 
-    def _handle_heap_event(self, st: _RunState, ctx: _RunContext, now: float,
-                           kind: str, payload) -> None:
-        if kind == _K_COMPLETION:
-            self._on_completion(st, ctx, now, payload)
-        elif kind == _K_TIMER:
-            st.timers.discard(payload)
-            for batch in st.buffer.poll(now):
-                self._dispatch(st, ctx, batch, now)
-            self._arm_timer(st)
-        elif kind == _K_RECONFIGURE:
-            self._on_reconfigure(st, ctx, now, payload)
-        elif kind == _K_DECISION:
-            self._on_decision(st, ctx, now, payload)
-        elif kind == _K_RETRAIN:
-            self._on_retrain(st, ctx, now)
-        elif kind == _K_PREWARM:
-            self._on_prewarm(st, ctx, now)
-        elif kind == _K_GENSTEP:
-            self._on_gen_step(st, ctx, now, payload)
-        elif kind == _K_CRASH:
-            self._on_crash(st, ctx, now, payload)
-        elif kind == _K_COLD_RETRY:
-            self._on_cold_retry(st, ctx, now, payload)
-        elif kind == _K_HEDGE:
-            self._on_hedge(st, ctx, now, payload)
+    def _on_timer(self, st: _RunState, ctx: _RunContext, now: float,
+                  deadline: float) -> None:
+        """A buffer timeout fires: release the expired batches."""
+        st.timers.discard(deadline)
+        for batch in st.buffer.poll(now):
+            self._dispatch(st, ctx, batch, now)
+        self._arm_timer(st)
 
     # ------------------------------------------------------------- plumbing
     def _push(self, st: _RunState, time: float, priority: int, kind: str,
@@ -1163,85 +974,225 @@ class ServingEngine:
         self._push(st, now, _P_DECISION, _K_DECISION, reason)
 
     # ----------------------------------------------------------- data plane
-    def _start_batch(self, st: _RunState, ctx: _RunContext, batch: Batch,
-                     memory_mb: float, cold_delay: float, cold: bool,
-                     container_id: int, start: float) -> None:
-        if self._gen_buffer:
-            self._start_batch_gen(st, ctx, batch, memory_mb, cold_delay,
-                                  cold, container_id, start)
-            return
-        if self._degrade_mode:
-            self._start_batch_outage(st, ctx, batch, memory_mb, cold_delay,
-                                     cold, container_id, start)
-            return
+    def _execute(self, st: _RunState, ctx: _RunContext, batch: Batch,
+                 now: float, mode: int = _PRIMARY, lease=None,
+                 donor: int | None = None, slowdown: float | None = None,
+                 primary: tuple | None = None) -> bool:
+        """Run ``batch`` on a container from ``now``: the one data plane.
+
+        ``lease`` is the container; without one, a container of the active
+        tier is acquired from this lane's pool (a primary dispatch records
+        the cold delay), and ``False`` — nothing started — is returned when
+        the pool denies. Then, in order:
+
+        1. service: ``s(M, B)``, or in buffer generation mode the batch's
+           ``(ttft, tpot)`` and its longest decode (the container is held,
+           and billed, until the longest output finishes);
+        2. straggler: the container's slowdown stretches the service time
+           (on failover the donor's factor, passed as ``slowdown``);
+        3. per-attempt request faults, primary and failover only, drawn
+           from the child generator ``spawn_rng(row)``;
+        4. crash hazard, primary only, two draws from ``spawn_rng(row, 1)``:
+           the container dies a uniform fraction into the run, the batch
+           bills the partial run and re-enters dispatch at the crash;
+        5. bookkeeping: batch row, latency/TTFT/TPOT slices, failed mask,
+           counters; a hedge duplicate (``primary`` = the primary's
+           ``(container_id, completion)``) overwrites the latencies only
+           when it finishes first;
+        6. in-flight registration and hedge scheduling, primary only;
+        7. completion push, metrics, and the trace/journal emit.
+
+        ``row`` is ``len(st.batches)`` on entry, the batch row this call
+        appends, so every draw is a function of the row index, never of
+        event order. ``mode`` is ``_PRIMARY``, ``_FAILOVER`` (``donor`` =
+        the lane whose pool hosts the container) or ``_HEDGE``.
+        """
+        if lease is None:
+            lease = st.pool.acquire(now, st.active.memory_mb)
+            if lease is None:
+                return False
+            if mode == _PRIMARY and lease.cold and ctx.registry.enabled:
+                ctx.registry.histogram(
+                    f"{self.metrics_prefix}.cold_delay"
+                ).observe(lease.cold_delay)
+        platform = self.platform
+        counters = st.counters
+        memory_mb = st.active.memory_mb
         size = batch.size
-        if self.platform.faults_active:
-            key = (memory_mb, size)
-            service = ctx.service_cache.get(key)
-            if service is None:
-                service = float(
-                    self.platform.profile.service_time(memory_mb, size)
-                )
-                ctx.service_cache[key] = service
-            # Fixed-draw-count child generator per dispatched batch:
-            # randomness is a function of the batch index, never of
-            # event interleaving (repro.serverless.faults discipline).
-            rng = self.platform.spawn_rng(len(st.batches))
+        cid = lease.container_id
+        cold = lease.cold
+        cold_delay = lease.cold_delay
+        i0 = batch.first_index
+        stop = i0 + size
+        gen = self._gen_buffer
+        # 1. Service time (pure functions of (M, B), memoized).
+        key = (memory_mb, size)
+        if gen:
+            times = ctx.token_cache.get(key)
+            if times is None:
+                profile = self.generation_config.token_profile
+                times = (float(profile.ttft(memory_mb, size)),
+                         float(profile.tpot(memory_mb, size)))
+                ctx.token_cache[key] = times
+            lead, tpot = times
+            out = st.output_tokens[i0:stop]
+            max_out = int(out.max())
+        else:
+            lead = ctx.service_cache.get(key)
+            if lead is None:
+                lead = float(platform.profile.service_time(memory_mb, size))
+                ctx.service_cache[key] = lead
+        # 2. Straggler stretch.
+        if slowdown is None:
+            slowdown = self._straggler_factor(ctx, cid)
+        if slowdown != 1.0:
+            lead *= slowdown
+            if gen:
+                tpot *= slowdown
+            if mode == _PRIMARY:
+                counters["straggler_batches"] += 1
+        # 3. Per-attempt faults; ``tail`` is what runs after the lead: the
+        # fault delay, or the decode steps of the longest output.
+        retries = 0
+        batch_failed = False
+        cost = None
+        if gen:
+            tail = (max_out - 1) * tpot
+        elif mode != _HEDGE and platform.faults_active:
             outcome = inject_faults(
-                np.asarray([cold_delay + service]), memory_mb,
-                self.platform.pricing,
-                self.platform.faults, self.platform.retry_policy, rng,
+                np.asarray([cold_delay + lead]), memory_mb, platform.pricing,
+                platform.faults, platform.retry_policy,
+                platform.spawn_rng(len(st.batches)),
             )
-            fault_delay = float(outcome.fault_delays[0])
+            tail = float(outcome.fault_delays[0])
             cost = float(outcome.costs[0])
             retries = int(outcome.attempts[0]) - 1
             batch_failed = bool(outcome.failed[0])
         else:
-            # service_time and invocation_cost are pure functions of the
-            # key, so the memoized floats are the exact values a fresh
-            # call would produce — bit-identity is free.
-            key = (memory_mb, size, cold_delay)
-            hit = ctx.cost_cache.get(key)
-            if hit is None:
-                service = float(
-                    self.platform.profile.service_time(memory_mb, size)
-                )
-                cost = float(self.platform.pricing.invocation_cost(
-                    memory_mb, cold_delay + service
+            tail = 0.0
+        duration = cold_delay + lead + tail
+        if self._by_duration and mode != _FAILOVER:
+            completion = now + duration
+        else:
+            completion = now + cold_delay + lead + tail
+        if cost is None:
+            key = (memory_mb, duration)
+            cost = ctx.cost_cache.get(key)
+            if cost is None:
+                cost = float(platform.pricing.invocation_cost(memory_mb,
+                                                              duration))
+                ctx.cost_cache[key] = cost
+        registry = ctx.registry
+        tracing = st.trace is not None or ctx.journal is not None
+        # 4. Crash hazard: no completion, no latency, no hedge.
+        if mode == _PRIMARY and self._crash_hazard:
+            u = platform.spawn_rng(len(st.batches), 1).random(2)
+            if float(u[0]) < self.outage_config.crash_probability(now):
+                crash_time = now + float(u[1]) * duration
+                partial = float(platform.pricing.invocation_cost(
+                    memory_mb, crash_time - now
                 ))
-                ctx.cost_cache[key] = (service, cost)
-            else:
-                service, cost = hit
-            fault_delay = 0.0
-            retries = 0
-            batch_failed = False
-        # Same association as BatchExecution.completion_times, so the
-        # static-config equivalence is bitwise, not merely close.
-        completion = start + cold_delay + service + fault_delay
-        st.batches.append(batch.dispatch_time, start, size, cost, cold,
+                st.batches.append(batch.dispatch_time, now, size, partial,
+                                  cold, memory_mb, 0)
+                self._push(st, crash_time, _P_CRASH, _K_CRASH, (cid, batch))
+                if registry.enabled:
+                    prefix = self.metrics_prefix
+                    registry.counter(f"{prefix}.batches").inc()
+                    registry.counter(
+                        f"{prefix}.cold_starts" if cold
+                        else f"{prefix}.warm_starts"
+                    ).inc()
+                if tracing:
+                    self._emit(st, ctx, ("start", now, cid, size, cold,
+                                         memory_mb, completion))
+                return True
+        # 5. Bookkeeping.
+        st.batches.append(batch.dispatch_time, now, size, cost, cold,
                           memory_mb, retries)
         if retries:
-            st.counters["n_retries"] += retries
-        i0 = batch.first_index
-        stop = i0 + size
-        st.latencies[i0:stop] = completion - batch.arrival_times
+            counters["n_retries"] += retries
+        arrivals = batch.arrival_times
+        if mode == _HEDGE:
+            won = completion < primary[1]
+            counters["hedges"] += 1
+            counters["hedge_cost"] += cost
+            st.hedged[i0:stop] = True
+            if won:
+                # The winning attempt is clean: clear any fault verdict.
+                st.latencies[i0:stop] = completion - arrivals
+                st.failed[i0:stop] = False
+                counters["hedge_wins"] += 1
+        elif gen:
+            first_token = now + cold_delay + lead
+            st.ttft[i0:stop] = first_token - arrivals
+            st.latencies[i0:stop] = first_token + (out - 1) * tpot - arrivals
+            st.tpot[i0:stop] = np.where(out > 1, tpot, np.nan)
+            counters["gen_prefill_iterations"] += 1
+            counters["gen_decode_iterations"] += max_out - 1
+            counters["gen_tokens"] += int(out.sum())
+        else:
+            st.latencies[i0:stop] = completion - arrivals
         if batch_failed:
             st.failed[i0:stop] = True
-            st.counters["n_failed"] += size
+        if mode == _FAILOVER:
+            st.failed_over[i0:stop] = True
+            counters["failover_batches"] += 1
+        # 6. In-flight registration and hedge scheduling.
+        if mode == _PRIMARY:
+            if st.inflight is not None:
+                st.inflight[cid] = (completion, batch)
+            hedge = self._hedge
+            if hedge is not None:
+                obs = st.hedge_obs
+                if len(obs) >= hedge.min_observations:
+                    hedge_at = now + hedge.multiplier * float(
+                        np.percentile(obs, hedge.percentile)
+                    )
+                    if hedge_at < completion:
+                        self._push(st, hedge_at, _P_HEDGE, _K_HEDGE, cid)
+                # The current batch joins the window only after the delay
+                # is computed: a hedge judges against *previous* dispatches.
+                obs.append(duration)
+        # 7. Completion, metrics, emit. A hedge's size-0 payload releases
+        # its container without re-touching the request slice.
         self._push(st, completion, _P_COMPLETION, _K_COMPLETION,
-                   (container_id, i0, size))
-        registry = ctx.registry
+                   (cid, i0, 0 if mode == _HEDGE else size, donor))
         if registry.enabled:
-            registry.counter(f"{self.metrics_prefix}.batches").inc()
+            prefix = self.metrics_prefix
+            registry.counter(f"{prefix}.batches").inc()
+            if mode == _FAILOVER:
+                registry.counter(f"{prefix}.degrade.failover").inc()
+            elif mode == _HEDGE:
+                registry.counter(f"{prefix}.degrade.hedges").inc()
+                registry.counter(f"{prefix}.degrade.hedge_cost").inc(cost)
+                if won:
+                    registry.counter(f"{prefix}.degrade.hedge_wins").inc()
             registry.counter(
-                f"{self.metrics_prefix}.cold_starts" if cold else f"{self.metrics_prefix}.warm_starts"
+                f"{prefix}.cold_starts" if cold else f"{prefix}.warm_starts"
             ).inc()
-            registry.histogram(f"{self.metrics_prefix}.queue_delay").observe(
-                start - batch.dispatch_time
-            )
-        if st.trace is not None or ctx.journal is not None:
-            self._emit(st, ctx, ("start", start, container_id, size, cold,
-                                 memory_mb, completion))
+            if mode == _PRIMARY:
+                registry.histogram(f"{prefix}.queue_delay").observe(
+                    now - batch.dispatch_time
+                )
+                if slowdown != 1.0:
+                    registry.counter(
+                        f"{prefix}.outage.straggler_batches"
+                    ).inc()
+            if gen:
+                registry.counter(f"{prefix}.gen.requests").inc(size)
+                registry.counter(f"{prefix}.gen.tokens").inc(int(out.sum()))
+                registry.histogram(f"{prefix}.ttft").observe_many(
+                    st.ttft[i0:stop]
+                )
+        if tracing:
+            if mode == _PRIMARY:
+                event = ("start", now, cid, size, cold, memory_mb, completion)
+            elif mode == _FAILOVER:
+                event = ("failover", now, donor, cid, size)
+            else:
+                event = ("hedge", now, primary[0], cid, size)
+            self._emit(st, ctx, event)
+        return True
 
     def _straggler_factor(self, ctx: _RunContext, container_id: int) -> float:
         """Memoized per-container slowdown (1.0 when stragglers are off)."""
@@ -1253,213 +1204,13 @@ class ServingEngine:
             ctx.straggler_cache[container_id] = factor
         return factor
 
-    def _start_batch_outage(self, st: _RunState, ctx: _RunContext,
-                            batch: Batch, memory_mb: float, cold_delay: float,
-                            cold: bool, container_id: int,
-                            start: float) -> None:
-        """Request-level batch start under the infrastructure-fault layer.
-
-        Semantics of :meth:`_start_batch` plus three hazards, each drawn
-        with fixed counts from per-batch generator children so outcomes
-        are a function of the batch row index, never of event order:
-
-        * the container's straggler factor stretches the clean service
-          time (drawn from ``(seed, container_id)``, not from the stream);
-        * per-attempt request faults run on the stretched duration,
-          exactly as on the plain fault path;
-        * the crash hazard (child key ``(row, 1)``, two draws: the coin
-          and the crash point) may kill the container partway through —
-          the batch bills its partial run, its requests re-enter the
-          queue at the crash, and no completion event is pushed.
-
-        Non-crashed dispatches register in ``st.inflight`` and, with
-        hedging on, schedule a hedge check at the percentile delay.
-        """
-        size = batch.size
-        row = len(st.batches)
-        key = (memory_mb, size)
-        service = ctx.service_cache.get(key)
-        if service is None:
-            service = float(
-                self.platform.profile.service_time(memory_mb, size)
-            )
-            ctx.service_cache[key] = service
-        slowdown = self._straggler_factor(ctx, container_id)
-        if slowdown != 1.0:
-            st.counters["straggler_batches"] += 1
-        eff_service = service * slowdown
-        if self.platform.faults_active:
-            rng = self.platform.spawn_rng(row)
-            outcome = inject_faults(
-                np.asarray([cold_delay + eff_service]), memory_mb,
-                self.platform.pricing,
-                self.platform.faults, self.platform.retry_policy, rng,
-            )
-            fault_delay = float(outcome.fault_delays[0])
-            cost = float(outcome.costs[0])
-            retries = int(outcome.attempts[0]) - 1
-            batch_failed = bool(outcome.failed[0])
-        else:
-            fault_delay = 0.0
-            cost = float(self.platform.pricing.invocation_cost(
-                memory_mb, cold_delay + eff_service
-            ))
-            retries = 0
-            batch_failed = False
-        duration = cold_delay + eff_service + fault_delay
-        completion = start + duration
-        registry = ctx.registry
-        if self._crash_hazard:
-            u = self.platform.spawn_rng(row, 1).random(2)
-            if float(u[0]) < self.outage_config.crash_probability(start):
-                # The container dies a uniform fraction into the run: bill
-                # the partial invocation, requeue the requests at the
-                # crash. No completion, no latency, no hedge.
-                crash_time = start + float(u[1]) * duration
-                partial = float(self.platform.pricing.invocation_cost(
-                    memory_mb, crash_time - start
-                ))
-                st.batches.append(batch.dispatch_time, start, size, partial,
-                                  cold, memory_mb, 0)
-                self._push(st, crash_time, _P_CRASH, _K_CRASH,
-                           (container_id, batch))
-                if registry.enabled:
-                    prefix = self.metrics_prefix
-                    registry.counter(f"{prefix}.batches").inc()
-                    registry.counter(
-                        f"{prefix}.cold_starts" if cold
-                        else f"{prefix}.warm_starts"
-                    ).inc()
-                if st.trace is not None or ctx.journal is not None:
-                    self._emit(st, ctx, ("start", start, container_id, size,
-                                         cold, memory_mb, completion))
-                return
-        st.batches.append(batch.dispatch_time, start, size, cost, cold,
-                          memory_mb, retries)
-        if retries:
-            st.counters["n_retries"] += retries
-        i0 = batch.first_index
-        stop = i0 + size
-        st.latencies[i0:stop] = completion - batch.arrival_times
-        if batch_failed:
-            st.failed[i0:stop] = True
-            st.counters["n_failed"] += size
-        if st.inflight is not None:
-            st.inflight[container_id] = (completion, batch)
-        hedge = self._hedge
-        if hedge is not None:
-            obs = st.hedge_obs
-            if len(obs) >= hedge.min_observations:
-                delay = hedge.multiplier * float(
-                    np.percentile(obs, hedge.percentile)
-                )
-                hedge_at = start + delay
-                if hedge_at < completion:
-                    self._push(st, hedge_at, _P_HEDGE, _K_HEDGE,
-                               container_id)
-            # The current batch joins the window only after the delay is
-            # computed: a hedge judges against *previous* dispatches.
-            obs.append(duration)
-        self._push(st, completion, _P_COMPLETION, _K_COMPLETION,
-                   (container_id, i0, size))
-        if registry.enabled:
-            prefix = self.metrics_prefix
-            registry.counter(f"{prefix}.batches").inc()
-            registry.counter(
-                f"{prefix}.cold_starts" if cold else f"{prefix}.warm_starts"
-            ).inc()
-            registry.histogram(f"{prefix}.queue_delay").observe(
-                start - batch.dispatch_time
-            )
-            if slowdown != 1.0:
-                registry.counter(f"{prefix}.outage.straggler_batches").inc()
-        if st.trace is not None or ctx.journal is not None:
-            self._emit(st, ctx, ("start", start, container_id, size, cold,
-                                 memory_mb, completion))
-
-    def _start_batch_foreign(self, st: _RunState, ctx: _RunContext,
-                             batch: Batch, memory_mb: float, lease,
-                             now: float, donor: int,
-                             slowdown: float) -> None:
-        """Run one failed-over batch on a donor lane's container.
-
-        The owner keeps the accounting — latencies, fault draws (its own
-        batch-row generator children), billing — while the donor's pool
-        hosts the container; the completion payload carries the donor
-        index so the release goes back to the right pool. Failed-over
-        batches are never crash-checked or hedged (they are already the
-        recovery path), but the donor container's straggler factor
-        (computed by the donor's engine and passed in) does apply.
-        """
-        size = batch.size
-        key = (memory_mb, size)
-        service = ctx.service_cache.get(key)
-        if service is None:
-            service = float(
-                self.platform.profile.service_time(memory_mb, size)
-            )
-            ctx.service_cache[key] = service
-        eff_service = service * slowdown
-        cold_delay = lease.cold_delay
-        if self.platform.faults_active:
-            rng = self.platform.spawn_rng(len(st.batches))
-            outcome = inject_faults(
-                np.asarray([cold_delay + eff_service]), memory_mb,
-                self.platform.pricing,
-                self.platform.faults, self.platform.retry_policy, rng,
-            )
-            fault_delay = float(outcome.fault_delays[0])
-            cost = float(outcome.costs[0])
-            retries = int(outcome.attempts[0]) - 1
-            batch_failed = bool(outcome.failed[0])
-        else:
-            fault_delay = 0.0
-            cost = float(self.platform.pricing.invocation_cost(
-                memory_mb, cold_delay + eff_service
-            ))
-            retries = 0
-            batch_failed = False
-        completion = now + cold_delay + eff_service + fault_delay
-        st.batches.append(batch.dispatch_time, now, size, cost, lease.cold,
-                          memory_mb, retries)
-        if retries:
-            st.counters["n_retries"] += retries
-        i0 = batch.first_index
-        stop = i0 + size
-        st.latencies[i0:stop] = completion - batch.arrival_times
-        if batch_failed:
-            st.failed[i0:stop] = True
-            st.counters["n_failed"] += size
-        if st.failed_over is not None:
-            st.failed_over[i0:stop] = True
-        st.counters["failover_batches"] = (
-            st.counters.get("failover_batches", 0) + 1
-        )
-        self._push(st, completion, _P_COMPLETION, _K_COMPLETION,
-                   (lease.container_id, i0, size, donor))
-        registry = ctx.registry
-        if registry.enabled:
-            prefix = self.metrics_prefix
-            registry.counter(f"{prefix}.batches").inc()
-            registry.counter(f"{prefix}.degrade.failover").inc()
-            registry.counter(
-                f"{prefix}.cold_starts" if lease.cold
-                else f"{prefix}.warm_starts"
-            ).inc()
-        if st.trace is not None or ctx.journal is not None:
-            self._emit(st, ctx, ("failover", now, donor, lease.container_id,
-                                 size))
-
     def _on_crash(self, st: _RunState, ctx: _RunContext, now: float,
                   payload) -> None:
         """A container died mid-batch: it leaves the pool immediately
         (freeing any fleet-shared budget), and the batch re-enters the
         dispatch path — a fresh batch row, hence fresh fault/crash draws."""
-        if self.outage_config is None:
-            return  # a restored pre-outage heap cannot carry this kind
         container_id, batch = payload
-        if st.inflight is not None:
-            st.inflight.pop(container_id, None)
+        st.inflight.pop(container_id, None)
         st.pool.kill(container_id)
         st.counters["crashed_containers"] += 1
         st.counters["crash_requeued"] += batch.size
@@ -1479,20 +1230,10 @@ class ServingEngine:
         """One fired cold-start backoff: retry the acquire; on another
         denial take the next scheduled backoff, and after the last one
         fall back to the ordinary queue-or-shed admission path."""
-        if self.degrade_config is None:
-            return  # a restored pre-degrade heap cannot carry this kind
         batch, attempt, sched = payload
-        memory_mb = st.active.memory_mb
-        lease = st.pool.acquire(now, memory_mb)
-        registry = ctx.registry
-        if lease is not None:
-            if registry.enabled and lease.cold:
-                registry.histogram(
-                    f"{self.metrics_prefix}.cold_delay"
-                ).observe(lease.cold_delay)
-            self._start_batch(st, ctx, batch, memory_mb, lease.cold_delay,
-                              lease.cold, lease.container_id, start=now)
+        if self._execute(st, ctx, batch, now):
             return
+        registry = ctx.registry
         if attempt < len(sched):
             st.counters["cold_retries"] += 1
             if registry.enabled:
@@ -1521,132 +1262,19 @@ class ServingEngine:
         hedged — it is the recovery path — but its own container's
         straggler factor applies.
         """
-        hedge = self._hedge
-        if hedge is None:
-            return  # a restored pre-degrade heap cannot carry this kind
-        rec = st.inflight.get(container_id) if st.inflight is not None else None
+        rec = st.inflight.get(container_id)
         if rec is None:
             return  # completed (or crashed) before the hedge fired
         completion, batch = rec
-        memory_mb = st.active.memory_mb
-        lease = st.pool.acquire(now, memory_mb)
-        registry = ctx.registry
-        if lease is None:
-            # No capacity for speculation — the primary keeps running.
-            st.counters["hedge_denied"] += 1
-            if registry.enabled:
-                registry.counter(
-                    f"{self.metrics_prefix}.degrade.hedge_denied"
-                ).inc()
+        if self._execute(st, ctx, batch, now, _HEDGE,
+                         primary=(container_id, completion)):
             return
-        size = batch.size
-        key = (memory_mb, size)
-        service = ctx.service_cache.get(key)
-        if service is None:
-            service = float(
-                self.platform.profile.service_time(memory_mb, size)
-            )
-            ctx.service_cache[key] = service
-        slowdown = self._straggler_factor(ctx, lease.container_id)
-        duration = lease.cold_delay + service * slowdown
-        dup_completion = now + duration
-        cost = float(self.platform.pricing.invocation_cost(
-            memory_mb, duration
-        ))
-        st.batches.append(batch.dispatch_time, now, size, cost, lease.cold,
-                          memory_mb, 0)
-        st.counters["hedges"] += 1
-        st.counters["hedge_cost"] += cost
-        i0 = batch.first_index
-        stop = i0 + size
-        st.hedged[i0:stop] = True
-        if dup_completion < completion:
-            # The duplicate wins: overwrite the primary's latencies (and
-            # clear any fault verdict — the winning attempt is clean).
-            st.latencies[i0:stop] = dup_completion - batch.arrival_times
-            st.failed[i0:stop] = False
-            st.counters["hedge_wins"] += 1
-        # Size-0 completion payload: release the duplicate's container at
-        # its own finish time without re-touching any request slice.
-        self._push(st, dup_completion, _P_COMPLETION, _K_COMPLETION,
-                   (lease.container_id, i0, 0))
-        if registry.enabled:
-            prefix = self.metrics_prefix
-            registry.counter(f"{prefix}.batches").inc()
-            registry.counter(f"{prefix}.degrade.hedges").inc()
-            registry.counter(f"{prefix}.degrade.hedge_cost").inc(cost)
-            if dup_completion < completion:
-                registry.counter(f"{prefix}.degrade.hedge_wins").inc()
-            registry.counter(
-                f"{prefix}.cold_starts" if lease.cold
-                else f"{prefix}.warm_starts"
+        # No capacity for speculation — the primary keeps running.
+        st.counters["hedge_denied"] += 1
+        if ctx.registry.enabled:
+            ctx.registry.counter(
+                f"{self.metrics_prefix}.degrade.hedge_denied"
             ).inc()
-        if st.trace is not None or ctx.journal is not None:
-            self._emit(st, ctx, ("hedge", now, container_id,
-                                 lease.container_id, size))
-
-    def _start_batch_gen(self, st: _RunState, ctx: _RunContext, batch: Batch,
-                         memory_mb: float, cold_delay: float, cold: bool,
-                         container_id: int, start: float) -> None:
-        """Size/timeout batch under generation timing.
-
-        The batch prefills together (``ttft(M, B)``) and then decodes in
-        lockstep; each member's own completion lands after its output
-        length, but the container is held — and billed — until the
-        *longest* decode in the batch finishes. With every
-        ``output_tokens == 1`` this is exactly the request-level
-        :meth:`_start_batch`: same service time, same cost, same events.
-        """
-        gen = self.generation_config
-        size = batch.size
-        # ttft/tpot are pure functions of (M, B); reuse the service memo.
-        key = (memory_mb, size)
-        pair = ctx.service_cache.get(key)
-        if pair is None:
-            pair = (
-                float(gen.token_profile.ttft(memory_mb, size)),
-                float(gen.token_profile.tpot(memory_mb, size)),
-            )
-            ctx.service_cache[key] = pair
-        ttft, tpot = pair
-        i0 = batch.first_index
-        stop = i0 + size
-        out = st.output_tokens[i0:stop]
-        max_out = int(out.max())
-        duration = cold_delay + ttft + (max_out - 1) * tpot
-        completion = start + duration
-        cost = float(self.platform.pricing.invocation_cost(memory_mb, duration))
-        st.batches.append(batch.dispatch_time, start, size, cost, cold,
-                          memory_mb, 0)
-        first_token = start + cold_delay + ttft
-        st.ttft[i0:stop] = first_token - batch.arrival_times
-        st.latencies[i0:stop] = (
-            first_token + (out - 1) * tpot - batch.arrival_times
-        )
-        st.tpot[i0:stop] = np.where(out > 1, tpot, np.nan)
-        st.counters["gen_prefill_iterations"] += 1
-        st.counters["gen_decode_iterations"] += max_out - 1
-        st.counters["gen_tokens"] += int(out.sum())
-        self._push(st, completion, _P_COMPLETION, _K_COMPLETION,
-                   (container_id, i0, size))
-        registry = ctx.registry
-        if registry.enabled:
-            prefix = self.metrics_prefix
-            registry.counter(f"{prefix}.batches").inc()
-            registry.counter(
-                f"{prefix}.cold_starts" if cold else f"{prefix}.warm_starts"
-            ).inc()
-            registry.histogram(f"{prefix}.queue_delay").observe(
-                start - batch.dispatch_time
-            )
-            registry.counter(f"{prefix}.gen.requests").inc(size)
-            registry.counter(f"{prefix}.gen.tokens").inc(int(out.sum()))
-            registry.histogram(f"{prefix}.ttft").observe_many(
-                st.ttft[i0:stop]
-            )
-        if st.trace is not None or ctx.journal is not None:
-            self._emit(st, ctx, ("start", start, container_id, size, cold,
-                                 memory_mb, completion))
 
     # ------------------------------------------------- continuous batching
     def _gen_arrival(self, st: _RunState, ctx: _RunContext, now: float,
@@ -1728,8 +1356,6 @@ class ServingEngine:
     def _on_gen_step(self, st: _RunState, ctx: _RunContext, now: float,
                      cid: int) -> None:
         """One iteration boundary of a continuous-batching session."""
-        if self.generation_config is None:
-            return  # a restored pre-generation heap cannot carry this kind
         sess = st.gen_sessions.get(cid)
         if sess is None:  # pragma: no cover - defensive
             return
@@ -1802,16 +1428,7 @@ class ServingEngine:
 
     def _dispatch(self, st: _RunState, ctx: _RunContext, batch: Batch,
                   now: float) -> None:
-        memory_mb = st.active.memory_mb
-        lease = st.pool.acquire(now, memory_mb)
-        registry = ctx.registry
-        if lease is not None:
-            if registry.enabled and lease.cold:
-                registry.histogram(f"{self.metrics_prefix}.cold_delay").observe(
-                    lease.cold_delay
-                )
-            self._start_batch(st, ctx, batch, memory_mb, lease.cold_delay,
-                              lease.cold, lease.container_id, start=now)
+        if self._execute(st, ctx, batch, now):
             return
         backoff = self._backoff
         if (backoff is not None and st.pool.outage is not None
@@ -1830,8 +1447,8 @@ class ServingEngine:
                 sched = sched[:keep]
             if sched.size:
                 st.counters["cold_retries"] += 1
-                if registry.enabled:
-                    registry.counter(
+                if ctx.registry.enabled:
+                    ctx.registry.counter(
                         f"{self.metrics_prefix}.degrade.cold_retries"
                     ).inc()
                 if st.trace is not None or ctx.journal is not None:
@@ -1870,33 +1487,18 @@ class ServingEngine:
 
     def _on_completion(self, st: _RunState, ctx: _RunContext, now: float,
                        payload) -> None:
-        foreign = None
-        if len(payload) == 3:
-            container_id, i0, size = payload
-            lat = st.latencies[i0:i0 + size]
-            # Generation mode breaks on TTFT windows, not end-of-decode
-            # latency — first-token time is the streaming SLO.
-            guard_obs = st.ttft[i0:i0 + size] if self._gen_buffer else lat
-        elif len(payload) == 4:
-            # Failed-over batch: the donor lane's pool hosted the
-            # container, so release goes there, and this lane's own queue
-            # is left to the fleet's drain pass (popping it here would
-            # reorder admissions).
-            container_id, i0, size, foreign = payload
-            lat = st.latencies[i0:i0 + size]
-            guard_obs = lat
-        else:
-            # A pre-speed-pass snapshot's heap carries (id, indices-array)
-            # payloads; honor them so old checkpoints keep restoring.
-            container_id, indices = payload
-            lat = st.latencies[indices]
-            guard_obs = lat
+        # ``donor`` is set for a failed-over batch: the donor lane's pool
+        # hosted the container, so release goes there, and this lane's own
+        # queue is left to the fleet's drain pass (popping it here would
+        # reorder admissions).
+        container_id, i0, size, donor = payload
+        lat = st.latencies[i0:i0 + size]
         if st.inflight is not None:
             st.inflight.pop(container_id, None)
-        if foreign is None:
+        if donor is None:
             st.pool.release(container_id, now)
         else:
-            self._donor_pools[foreign].release(container_id, now)
+            self._donor_pools[donor].release(container_id, now)
         if self._track_latencies:
             st.recent_latencies.extend(lat.tolist())
         registry = ctx.registry
@@ -1906,9 +1508,12 @@ class ServingEngine:
             )
         if st.trace is not None or ctx.journal is not None:
             self._emit(st, ctx, ("completion", now, container_id))
-        if foreign is None and st.queue:
+        if donor is None and st.queue:
             self._dispatch(st, ctx, st.queue.popleft(), now)
         if st.guardrail is not None:
+            # Generation mode breaks on TTFT windows, not end-of-decode
+            # latency — first-token time is the streaming SLO.
+            guard_obs = st.ttft[i0:i0 + size] if self._gen_buffer else lat
             for action, observed in st.guardrail.observe(
                 guard_obs, now, st.active
             ):
@@ -2078,17 +1683,18 @@ class ServingEngine:
         if now < st.cooldown_until:
             return
         registry = ctx.registry
-        detector = self.drift_detector
-        recent = self._recent_ts(st, self.drift_window + 1)
+        drift = self.drift_config
+        detector = drift.detector
+        recent = self._recent_ts(st, drift.window + 1)
         if (
             detector is not None
             and detector.lo_ is not None
-            and recent.size > self.drift_window
+            and recent.size > drift.window
         ):
             score = detector.score(np.diff(recent))
             if score >= detector.threshold:
                 st.counters["drift"] += 1
-                st.cooldown_until = now + self.drift_cooldown_s
+                st.cooldown_until = now + drift.cooldown_s
                 if registry.enabled:
                     registry.counter(f"{self.metrics_prefix}.drift_triggers").inc()
                     registry.record_event(DriftEvent(
@@ -2096,23 +1702,25 @@ class ServingEngine:
                     ))
                 self._emit(st, ctx, ("drift", now, "workload", round(score, 9)))
                 self._trigger_decision(st, now, "drift")
-                if self.retrain_delay_s is not None and not st.retrain_pending:
+                if (drift.retrain_delay_s is not None
+                        and not st.retrain_pending):
                     st.retrain_pending = True
-                    self._push(st, now + self.retrain_delay_s, _P_RETRAIN,
+                    self._push(st, now + drift.retrain_delay_s, _P_RETRAIN,
                                _K_RETRAIN, None)
                 return
+        pred = self.prediction_config
         if (
-            self.prediction_baseline_error is not None
+            pred is not None
             and st.pred_p95 is not None
-            and len(st.recent_latencies) >= self.prediction_min_samples
+            and len(st.recent_latencies) >= pred.min_samples
         ):
             observed = float(np.percentile(st.recent_latencies, 95.0))
             if observed > 0:
                 error = abs(st.pred_p95 - observed) / observed
-                if prediction_drift(error, self.prediction_baseline_error,
-                                    self.prediction_tolerance):
+                if prediction_drift(error, pred.baseline_error,
+                                    pred.tolerance):
                     st.counters["pred_drift"] += 1
-                    st.cooldown_until = now + self.drift_cooldown_s
+                    st.cooldown_until = now + drift.cooldown_s
                     if registry.enabled:
                         registry.counter(
                             f"{self.metrics_prefix}.prediction_drift_triggers"
@@ -2124,26 +1732,30 @@ class ServingEngine:
                                          round(error, 9)))
                     self._trigger_decision(st, now, "prediction-drift")
 
-    def _on_retrain(self, st: _RunState, ctx: _RunContext, now: float) -> None:
+    def _on_retrain(self, st: _RunState, ctx: _RunContext, now: float,
+                    _payload) -> None:
         st.retrain_pending = False
         st.counters["retrains"] += 1
         recent = np.diff(self._recent_ts(st))
-        if self.drift_detector is not None:
+        drift = self.drift_config
+        if drift.detector is not None:
             try:
-                self.drift_detector.fit(recent, self.drift_window)
+                drift.detector.fit(recent, drift.window)
             except ValueError:
                 pass  # not enough recent traffic to refit the envelope
-        if self.on_retrain is not None:
-            self.on_retrain(recent)
+        if drift.on_retrain is not None:
+            drift.on_retrain(recent)
             # The retrain hook may refit the platform's models in place;
-            # drop the memoized service/cost values so later batches see it.
+            # drop the memoized timing/cost values so later batches see it.
             ctx.service_cache.clear()
+            ctx.token_cache.clear()
             ctx.cost_cache.clear()
         if ctx.registry.enabled:
             ctx.registry.counter(f"{self.metrics_prefix}.retrains").inc()
         self._emit(st, ctx, ("retrain", now))
 
-    def _on_prewarm(self, st: _RunState, ctx: _RunContext, now: float) -> None:
+    def _on_prewarm(self, st: _RunState, ctx: _RunContext, now: float,
+                    _payload) -> None:
         """One predictive-prewarm tick: forecast, size, provision/retire.
 
         Deterministic and checkpoint-safe by construction: the next tick
@@ -2152,8 +1764,6 @@ class ServingEngine:
         cadence bit-identically without any dedicated policy state.
         """
         pw = self.prewarm_config
-        if pw is None:  # a restored pre-prewarm heap cannot carry this kind
-            return
         st.counters["prewarm_ticks"] += 1
         tier = st.active.memory_mb
         cold_delay = st.pool.cold_delay(tier)
@@ -2230,14 +1840,14 @@ class ServingEngine:
             warm_starts=stats.warm_starts,
             expired_containers=stats.expired,
             evicted_containers=stats.evicted,
-            # getattr/.get: a snapshot written before the prewarm fields
-            # existed unpickles without them and must still finish cleanly.
-            prewarmed_containers=getattr(stats, "prewarmed", 0),
-            prewarm_retired=getattr(stats, "retired", 0),
-            prewarm_ticks=st.counters.get("prewarm_ticks", 0),
-            prewarm_cost=st.counters.get("prewarm_cost", 0.0),
+            prewarmed_containers=stats.prewarmed,
+            prewarm_retired=stats.retired,
+            prewarm_ticks=st.counters["prewarm_ticks"],
+            prewarm_cost=st.counters["prewarm_cost"],
             n_retries=st.counters["n_retries"],
-            n_failed=st.counters["n_failed"],
+            # The failed mask is the one source of truth: a hedge that
+            # beats a faulted primary clears its requests' verdict.
+            n_failed=int(st.failed.sum()),
             sequence_length=self.sequence_length,
             event_trace=st.trace,
             n_events=st.events_processed,
@@ -2249,34 +1859,32 @@ class ServingEngine:
             guardrail_state=(
                 st.guardrail.state if st.guardrail is not None else None
             ),
-            # getattr/.get throughout: state objects written before the
-            # generation fields existed must still finish cleanly.
-            ttft=getattr(st, "ttft", None),
-            tpot=getattr(st, "tpot", None),
-            prompt_tokens=getattr(st, "prompt_tokens", None),
-            output_tokens=getattr(st, "output_tokens", None),
+            ttft=st.ttft,
+            tpot=st.tpot,
+            prompt_tokens=st.prompt_tokens,
+            output_tokens=st.output_tokens,
             ttft_slo=self._gen_ttft_slo,
             tpot_slo=(
                 self.generation_config.tpot_slo
                 if self.generation_config is not None else None
             ),
-            gen_sessions=st.counters.get("gen_sessions", 0),
-            gen_prefill_iterations=st.counters.get("gen_prefill_iterations", 0),
-            gen_decode_iterations=st.counters.get("gen_decode_iterations", 0),
-            gen_tokens=st.counters.get("gen_tokens", 0),
-            gen_shed=st.counters.get("gen_shed", 0),
-            outage_denied=getattr(stats, "outage_denied", 0),
-            crashed_containers=st.counters.get("crashed_containers", 0),
-            crash_requeued=st.counters.get("crash_requeued", 0),
-            straggler_batches=st.counters.get("straggler_batches", 0),
-            cold_retries=st.counters.get("cold_retries", 0),
-            cold_retry_exhausted=st.counters.get("cold_retry_exhausted", 0),
-            hedges=st.counters.get("hedges", 0),
-            hedge_wins=st.counters.get("hedge_wins", 0),
-            hedge_denied=st.counters.get("hedge_denied", 0),
-            hedge_cost=st.counters.get("hedge_cost", 0.0),
-            brownout_shed=st.counters.get("brownout_shed", 0),
-            failover_batches=st.counters.get("failover_batches", 0),
-            hedged=getattr(st, "hedged", None),
-            failed_over=getattr(st, "failed_over", None),
+            gen_sessions=st.counters["gen_sessions"],
+            gen_prefill_iterations=st.counters["gen_prefill_iterations"],
+            gen_decode_iterations=st.counters["gen_decode_iterations"],
+            gen_tokens=st.counters["gen_tokens"],
+            gen_shed=st.counters["gen_shed"],
+            outage_denied=stats.outage_denied,
+            crashed_containers=st.counters["crashed_containers"],
+            crash_requeued=st.counters["crash_requeued"],
+            straggler_batches=st.counters["straggler_batches"],
+            cold_retries=st.counters["cold_retries"],
+            cold_retry_exhausted=st.counters["cold_retry_exhausted"],
+            hedges=st.counters["hedges"],
+            hedge_wins=st.counters["hedge_wins"],
+            hedge_denied=st.counters["hedge_denied"],
+            hedge_cost=st.counters["hedge_cost"],
+            brownout_shed=st.counters["brownout_shed"],
+            failover_batches=st.counters["failover_batches"],
+            hedged=st.hedged,
+            failed_over=st.failed_over,
         )

@@ -56,7 +56,12 @@ from repro.serving.config import (
     PrewarmConfig,
 )
 from repro.serving.degrade import BrownoutConfig, DegradeConfig, FailoverConfig
-from repro.serving.engine import _P_DECISION, ServingEngine, _RunContext
+from repro.serving.engine import (
+    _FAILOVER,
+    _P_DECISION,
+    ServingEngine,
+    _RunContext,
+)
 from repro.serving.guardrail import GuardrailConfig
 from repro.serving.log import ServingLog
 from repro.serving.pool import WarmPool, WarmPoolConfig
@@ -522,8 +527,7 @@ class FleetEngine:
             min(first_arrivals) + self.scheduler_interval_s
             if self.scheduler is not None and first_arrivals else None
         )
-        drive = self._drive_lanes_scan if self._scan_lanes else self._drive_lanes
-        fleet_decisions = drive(lanes, budget, next_tick)
+        fleet_decisions = self._drive_lanes(lanes, budget, next_tick)
         for _eng, _st, ctx in lanes:
             ctx.timers.flush()
 
@@ -537,11 +541,6 @@ class FleetEngine:
         )
 
     # ------------------------------------------------------------ internals
-    #: When True, :meth:`run` drives lanes with the original scan-every-lane
-    #: loop (:meth:`_drive_lanes_scan`). The serving benchmark flips this on
-    #: a subclass to measure the heap-merged loop against its specification.
-    _scan_lanes = False
-
     def _drive_lanes(self, lanes, budget, next_tick) -> int:
         """Heap-merged lane stepping: the fleet's next event in O(log n).
 
@@ -553,8 +552,9 @@ class FleetEngine:
         changed (it was stepped, a cross-lane drain started one of its
         queued batches, or a scheduler tick injected decisions), the stamp
         is bumped and a fresh entry pushed; stale entries are discarded as
-        they surface. Bit-identity with :meth:`_drive_lanes_scan` is
-        pinned by the fleet equivalence tests.
+        they surface. Bit-identity with the scan-every-lane specification
+        (``ScanFleetEngine`` in ``tests/serving/_spec.py``) is pinned by
+        the fleet equivalence tests.
         """
         fleet_decisions = 0
         degrading = (budget is not None or self.failover is not None
@@ -624,43 +624,6 @@ class FleetEngine:
                 rekey(i)
         return fleet_decisions
 
-    def _drive_lanes_scan(self, lanes, budget, next_tick) -> int:
-        """The original O(lanes)-per-event selection loop, kept verbatim as
-        the executable specification for :meth:`_drive_lanes` and as the
-        "before" side of the serving benchmark."""
-        fleet_decisions = 0
-        while True:
-            best = None  # ((time, priority, lane), lane_index)
-            for i, (eng, st, _ctx) in enumerate(lanes):
-                key = eng._next_event_key(st)
-                if key is not None:
-                    ranked = (key[0], key[1], i)
-                    if best is None or ranked < best[0]:
-                        best = (ranked, i)
-            if next_tick is not None and (
-                best is None or (next_tick, _P_DECISION) <= best[0][:2]
-            ):
-                fleet_decisions += self._scheduler_tick(lanes, next_tick)
-                next_tick = (
-                    next_tick + self.scheduler_interval_s
-                    if any(st.arrival_ptr < st.n for _, st, _ in lanes)
-                    else None
-                )
-                continue
-            if best is None:
-                break
-            eng, st, ctx = lanes[best[1]]
-            eng._step(st, ctx)
-            st.events_processed += 1
-            now = float(st.clock)
-            if budget is not None:
-                self._drain_queues(lanes, now)
-            if self.failover is not None:
-                self._failover_pass(lanes, now)
-            if self.brownout is not None:
-                self._brownout_pass(lanes, now)
-        return fleet_decisions
-
     def _scheduler_tick(self, lanes, now: float) -> int:
         """Run one fleet arbitration; returns 1 if a plan was applied."""
         histories = {
@@ -690,21 +653,8 @@ class FleetEngine:
         """
         changed: set[int] = set()
         for lane, (eng, st, ctx) in enumerate(lanes):
-            while st.queue:
-                memory_mb = st.active.memory_mb
-                lease = st.pool.acquire(now, memory_mb)
-                if lease is None:
-                    break
-                batch = st.queue.popleft()
-                registry = ctx.registry
-                if registry.enabled and lease.cold:
-                    registry.histogram(
-                        f"{eng.metrics_prefix}.cold_delay"
-                    ).observe(lease.cold_delay)
-                eng._start_batch(
-                    st, ctx, batch, memory_mb, lease.cold_delay,
-                    lease.cold, lease.container_id, start=now,
-                )
+            while st.queue and eng._execute(st, ctx, st.queue[0], now):
+                st.queue.popleft()
                 changed.add(lane)
         return changed
 
@@ -716,8 +666,9 @@ class FleetEngine:
         active memory tier with an empty queue of their own, tried in
         lane order. The owner keeps all accounting — its latencies, its
         fault draws, its bill — while the donor's pool hosts the
-        container (see ``ServingEngine._start_batch_foreign``). Returns
-        the owner lanes that dispatched (their event heap changed).
+        container and its straggler factor applies (see
+        ``ServingEngine._execute``). Returns the owner lanes that
+        dispatched (their event heap changed).
         """
         min_queue = self.failover.min_queue
         changed: set[int] = set()
@@ -738,10 +689,12 @@ class FleetEngine:
                     lease = d_st.pool.acquire(now, memory_mb)
                     if lease is None:
                         break
-                    batch = o_st.queue.popleft()
-                    o_eng._start_batch_foreign(
-                        o_st, o_ctx, batch, memory_mb, lease, now, d,
-                        d_eng._straggler_factor(d_ctx, lease.container_id),
+                    o_eng._execute(
+                        o_st, o_ctx, o_st.queue.popleft(), now, _FAILOVER,
+                        lease=lease, donor=d,
+                        slowdown=d_eng._straggler_factor(
+                            d_ctx, lease.container_id
+                        ),
                     )
                     changed.add(o)
                 if not o_st.queue:
@@ -769,9 +722,7 @@ class FleetEngine:
             batch = st.queue.pop()
             i0 = batch.first_index
             st.shed[i0:i0 + batch.size] = True
-            st.counters["brownout_shed"] = (
-                st.counters.get("brownout_shed", 0) + batch.size
-            )
+            st.counters["brownout_shed"] += batch.size
             registry = ctx.registry
             if registry.enabled:
                 prefix = eng.metrics_prefix

@@ -23,19 +23,16 @@ that state:
 The pool is purely deterministic — no RNG — so the serving engine's
 event-trace determinism reduces to event ordering.
 
-Two implementations share the semantics:
-
-* :class:`WarmPool` — the production pool. Expiry, MRU warm reuse, and
-  capacity eviction all run off heaps with lazy invalidation (an idle
-  min-heap keyed ``(free_at, container_id)`` doubling as expiry queue and
-  eviction order, plus one MRU max-heap per memory tier), so every
-  :meth:`~WarmPool.acquire` costs O(log n) instead of the three O(n)
-  scans the linear version pays.
-* :class:`ReferenceWarmPool` — the original linear-scan implementation,
-  kept verbatim as the *executable specification*: the pool test suite
-  drives both through identical operation sequences and asserts
-  bit-identical leases, stats, and container sets, and the serving
-  benchmark uses it as the "before" side of ``BENCH_serving.json``.
+:class:`WarmPool` runs expiry, MRU warm reuse, and capacity eviction off
+heaps with lazy invalidation (an idle min-heap keyed
+``(free_at, container_id)`` doubling as expiry queue and eviction order,
+plus one MRU max-heap per memory tier), so every :meth:`~WarmPool.acquire`
+costs O(log n) instead of the three O(n) scans of a linear pool. The
+original linear-scan pool is kept as its executable specification,
+``ReferenceWarmPool`` in ``tests/serving/_spec.py``: the pool test suite
+drives both through identical operation sequences and asserts
+bit-identical leases, stats, and container sets, and the serving
+benchmark uses it as the "before" side of ``BENCH_serving.json``.
 """
 
 from __future__ import annotations
@@ -86,12 +83,7 @@ class _Container:
 
 @dataclass
 class PoolStats:
-    """Lifetime counters the serving log reports.
-
-    ``crashed`` and ``outage_denied`` (PR 10) default to 0 as class
-    attributes, so stats objects pickled before the fields existed
-    restore cleanly.
-    """
+    """Lifetime counters the serving log reports."""
 
     cold_starts: int = 0
     warm_starts: int = 0
@@ -128,9 +120,10 @@ class WarmPool:
     event-order deterministic.
 
     Internals (the serving-loop speed pass): the linear implementation
-    (:class:`ReferenceWarmPool`) rescans every container on each acquire —
-    once for expiry, once for a warm match, once for an eviction victim —
-    which is O(n) per dispatched batch and dominated big-pool runs. This
+    (``ReferenceWarmPool``, the test-suite spec) rescans every container
+    on each acquire — once for expiry, once for a warm match, once for an
+    eviction victim — which is O(n) per dispatched batch and dominated
+    big-pool runs. This
     pool keeps the same observable behaviour with heaps:
 
     * ``_idle_heap`` — min-heap of ``(free_at, container_id)`` entries, one
@@ -394,69 +387,3 @@ class WarmPool:
         retired = min(n, len(idle))
         self.stats.retired += retired
         return retired
-
-
-class ReferenceWarmPool(WarmPool):
-    """The original linear-scan pool, kept as the executable specification.
-
-    Every acquire rescans the container dict (expiry sweep, warm-match
-    scan, eviction-victim scan) exactly as the pre-speed-pass pool did.
-    ``tests/serving/test_pool_equivalence.py`` drives this and
-    :class:`WarmPool` through identical operation sequences and asserts
-    bit-identical behaviour; ``benchmarks/test_perf_serving.py`` uses it
-    as the "before" implementation when measuring the serving speedup.
-    """
-
-    def _expire(self, now: float) -> None:
-        keep = self.config.keep_alive_s
-        if math.isinf(keep):
-            return
-        dead = [
-            cid
-            for cid, c in self._containers.items()
-            if c.free_at <= now and now - c.free_at > keep
-        ]
-        for cid in dead:
-            del self._containers[cid]
-        self.stats.expired += len(dead)
-
-    def acquire(self, now: float, memory_mb: float) -> Lease | None:
-        self._expire(now)
-        warm = [
-            c
-            for c in self._containers.values()
-            if c.free_at <= now and c.memory_mb == memory_mb
-        ]
-        if warm:
-            chosen = max(warm, key=lambda c: (c.free_at, c.container_id))
-            chosen.free_at = math.inf
-            self.stats.warm_starts += 1
-            return Lease(chosen.container_id, cold=False, cold_delay=0.0)
-
-        if self.outage is not None and self.outage.active(now):
-            self.stats.outage_denied += 1
-            return None
-
-        cap = self.config.max_containers
-        if cap is not None and len(self._containers) >= cap:
-            idle = [c for c in self._containers.values() if c.free_at <= now]
-            if not idle:
-                return None
-            victim = min(idle, key=lambda c: (c.free_at, c.container_id))
-            del self._containers[victim.container_id]
-            self.stats.evicted += 1
-
-        if not self._admit_cold(now):
-            return None
-        container = _Container(self._next_id, memory_mb, free_at=math.inf)
-        self._next_id += 1
-        self._containers[container.container_id] = container
-        self.stats.cold_starts += 1
-        return Lease(container.container_id, cold=True,
-                     cold_delay=self.cold_delay(memory_mb))
-
-    def release(self, container_id: int, now: float) -> None:
-        container = self._containers.get(container_id)
-        if container is None:
-            return
-        container.free_at = now

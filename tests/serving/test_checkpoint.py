@@ -170,24 +170,35 @@ class TestRestoreValidation:
         with pytest.raises(CheckpointError, match="unsupported format"):
             build_engine().restore(path)
 
-    def test_format_1_snapshot_is_refused(self, tmp_path):
-        # Format 1 run states carried a per-arrival window deque; format 2
-        # derives the window from the served timestamps, so an older
-        # snapshot cannot be resumed and must say so.
+    @staticmethod
+    def _refuses_older_format(tmp_path, old: int) -> None:
         ts = trace(n=400)
-        ck = tmp_path / "v1.ckpt"
+        ck = tmp_path / f"v{old}.ckpt"
         with pytest.raises(SimulatedCrash):
             build_engine().run(ts, checkpoint_path=ck, checkpoint_every=32,
                                crash_after_events=100)
         with open(ck, "rb") as fh:
             payload = pickle.load(fh)
-        assert SNAPSHOT_FORMAT == 2 and payload["format"] == 2
-        payload["format"] = 1
+        assert SNAPSHOT_FORMAT == 3 and payload["format"] == 3
+        payload["format"] = old
         with open(ck, "wb") as fh:
             pickle.dump(payload, fh)
         with pytest.raises(CheckpointError,
-                           match=r"unsupported format 1 \(this build reads format 2\)"):
+                           match=rf"unsupported format {old} "
+                                 r"\(this build reads format 3\)"):
             build_engine().restore(ck)
+
+    def test_format_1_snapshot_is_refused(self, tmp_path):
+        # Format 1 run states carried a per-arrival window deque; format 2
+        # derives the window from the served timestamps, so an older
+        # snapshot cannot be resumed and must say so.
+        self._refuses_older_format(tmp_path, 1)
+
+    def test_format_2_snapshot_is_refused(self, tmp_path):
+        # Format 2 run states created counters lazily and kept an
+        # ``n_failed`` counter; format 3 initializes every counter and
+        # derives ``n_failed`` from the failed mask.
+        self._refuses_older_format(tmp_path, 2)
 
     def test_corrupt_snapshot_is_a_clear_error(self, tmp_path):
         path = tmp_path / "torn.ckpt"

@@ -2,9 +2,10 @@
 
 The speed pass replaced the fleet's O(lanes)-per-event selection scan with
 a lane-key heap (:meth:`FleetEngine._drive_lanes`); the original loop is
-kept verbatim as :meth:`FleetEngine._drive_lanes_scan`. These tests run
-both over the same fleets — shared budget, per-lane choosers, faults, and
-scheduler ticks — and require identical logs, event traces included.
+kept verbatim as ``ScanFleetEngine`` in ``tests/serving/_spec.py``. These
+tests run both over the same fleets — shared budget, per-lane choosers,
+faults, and scheduler ticks — and require identical logs, event traces
+included.
 """
 
 import numpy as np
@@ -16,15 +17,12 @@ from repro.serverless.faults import FaultModel
 from repro.serverless.platform import ServerlessPlatform
 from repro.serving import ServingLog, WarmPoolConfig
 from repro.serving.fleet import EndpointSpec, FleetEngine, FleetScheduler
+from tests.serving._spec import ScanFleetEngine as _ScanFleet
 
 pytestmark = pytest.mark.fleet
 
 CONFIG = BatchConfig(memory_mb=2048.0, batch_size=8, timeout=0.05)
 OTHER = BatchConfig(memory_mb=1024.0, batch_size=4, timeout=0.02)
-
-
-class _ScanFleet(FleetEngine):
-    _scan_lanes = True
 
 
 class StubChooser:

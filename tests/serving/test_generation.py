@@ -31,6 +31,7 @@ from repro.serverless.platform import ServerlessPlatform
 from repro.serverless.service_profile import ServiceProfile
 from repro.serving import (
     EndpointSpec,
+    FailoverConfig,
     FleetEngine,
     GenerationConfig,
     GenerationConfigError,
@@ -507,6 +508,69 @@ class TestFleetGeneration:
         np.testing.assert_array_equal(single.latencies, fleet.latencies)
         np.testing.assert_array_equal(single.ttft, fleet.ttft)
         np.testing.assert_array_equal(single.batch_costs, fleet.batch_costs)
+
+
+def failover_endpoints(generation):
+    """Two buffer lanes on one tier: ``a`` floods its two containers,
+    ``b`` idles, so ``a``'s queue fails over onto ``b``'s pool."""
+    return [
+        EndpointSpec(name=name, config=BatchConfig(2048.0, 4, 0.01),
+                     platform=ServerlessPlatform(), generation=generation,
+                     pool=WarmPoolConfig(max_containers=2))
+        for name in ("a", "b")
+    ]
+
+
+def failover_traffic():
+    return {"a": poisson_trace(seed=1, n=800, lam=400.0),
+            "b": poisson_trace(seed=2, n=50, lam=5.0)}
+
+
+class TestGenerationFailover:
+    def test_generation_lane_fails_over(self):
+        """Regression: a failed-over generation batch used to multiply the
+        cached ``(ttft, tpot)`` pair by the donor's straggler factor and
+        raise ``TypeError``. Both the Python API and the fleet schema
+        accept the combination, so it must run."""
+        gen = GenerationConfig(
+            dispatcher="buffer",
+            length_model=TokenLengthModel(output_mean=8.0),
+        )
+        log = FleetEngine(
+            failover_endpoints(gen), failover=FailoverConfig(min_queue=1),
+        ).run(failover_traffic())
+        a = log["a"]
+        assert a.failover_batches > 0
+        moved = a.failed_over & ~a.shed
+        assert moved.any()
+        assert np.isfinite(a.ttft[moved]).all()
+        assert (a.latencies[moved] >= a.ttft[moved]).all()
+        assert a.gen_tokens == int(a.output_tokens[~a.shed].sum())
+
+    def test_single_token_failover_matches_request_level(self):
+        """With every ``output_tokens == 1`` the generation-buffer failover
+        fleet is the request-level failover fleet, bit for bit."""
+        single = GenerationConfig(
+            dispatcher="buffer",
+            length_model=TokenLengthModel(output_mean=1.0, output_max=1),
+        )
+        failover = FailoverConfig(min_queue=1)
+        gen = FleetEngine(failover_endpoints(single), failover=failover).run(
+            failover_traffic(), record_trace=True)
+        base = FleetEngine(failover_endpoints(None), failover=failover).run(
+            failover_traffic(), record_trace=True)
+        assert gen["a"].failover_batches > 0
+        for name in ("a", "b"):
+            g, b = gen[name], base[name]
+            for field in ("latencies", "shed", "failed", "failed_over",
+                          "start_times", "batch_sizes", "batch_costs",
+                          "batch_cold"):
+                np.testing.assert_array_equal(getattr(g, field),
+                                              getattr(b, field))
+            assert g.event_trace == b.event_trace
+            assert g.failover_batches == b.failover_batches
+            np.testing.assert_array_equal(g.ttft[~g.shed],
+                                          g.latencies[~g.shed])
 
 
 # --------------------------------------------------------------- surrogate

@@ -57,9 +57,11 @@ from repro.serving import (
     validate_outage_config,
 )
 from repro.serving.checkpoint import CheckpointError
+from repro.serving.engine import _HEDGE, _PRIMARY
 from repro.serving.fleet import FleetBudget
-from repro.serving.pool import ReferenceWarmPool, WarmPool
+from repro.serving.pool import WarmPool
 from repro.telemetry import MetricsRegistry, use_registry
+from tests.serving._spec import ReferenceWarmPool, ScanFleetEngine
 
 pytestmark = [pytest.mark.serving, pytest.mark.outage]
 
@@ -443,6 +445,33 @@ class TestEngineDegrade:
             build_engine(degrade=DegradeConfig(
                 backoff=DEGRADE.backoff)).restore(path)
 
+    def test_n_failed_counts_the_failed_mask(self):
+        """Regression: a hedge that beats a faulted primary clears its
+        requests' failed verdict, and ``n_failed`` must follow (it used
+        to be a separate counter that never came back down)."""
+
+        class Recording(ServingEngine):
+            wins_over_faulted = 0
+
+            def _execute(self, st, ctx, batch, now, mode=_PRIMARY, **kw):
+                was_failed = bool(st.failed[batch.first_index])
+                wins = st.counters["hedge_wins"]
+                started = super()._execute(st, ctx, batch, now, mode, **kw)
+                if (mode == _HEDGE and was_failed
+                        and st.counters["hedge_wins"] > wins):
+                    self.wins_over_faulted += 1
+                return started
+
+        engine = Recording(
+            CONFIG, platform=ServerlessPlatform(
+                seed=3, faults=FaultModel(failure_rate=0.3)),
+            degrade=DegradeConfig(hedge=HedgeConfig(percentile=50.0,
+                                                    multiplier=1.0)),
+        )
+        log = engine.run(uniform_trace(seed=4, n=3000, horizon=10.0))
+        assert engine.wins_over_faulted > 0
+        assert log.n_failed == int(log.failed.sum())
+
 
 # ----------------------------------------------------------------- the fleet
 def fleet_traces(seed=2, horizon=10.0, n_gold=3000, n_bulk=2000):
@@ -470,12 +499,6 @@ def tiered_endpoints(queue_cap=20, containers=1, gold_outages=None,
     ]
 
 
-class ScanFleet(FleetEngine):
-    """The linear-scan drive loop — the fleet's executable spec."""
-
-    _scan_lanes = True
-
-
 @pytest.mark.fleet
 class TestFleetDegrade:
     def test_failover_drains_a_starved_lane(self):
@@ -488,7 +511,7 @@ class TestFleetDegrade:
         assert g.failed_over is not None and g.failed_over.sum() > 0
         # Determinism, and the heap drive loop matches the scan spec.
         again = FleetEngine(tiered_endpoints(), **kw).run(traffic)
-        scan = ScanFleet(tiered_endpoints(), **kw).run(traffic)
+        scan = ScanFleetEngine(tiered_endpoints(), **kw).run(traffic)
         for name in ("gold", "bulk"):
             assert_serving_logs_equal(log[name], again[name])
             assert_serving_logs_equal(log[name], scan[name])
@@ -503,7 +526,7 @@ class TestFleetDegrade:
         log = FleetEngine(tiered_endpoints(queue_cap=50), **kw).run(traffic)
         assert log["bulk"].brownout_shed > 0
         assert log["gold"].brownout_shed == 0
-        scan = ScanFleet(tiered_endpoints(queue_cap=50), **kw).run(traffic)
+        scan = ScanFleetEngine(tiered_endpoints(queue_cap=50), **kw).run(traffic)
         for name in ("gold", "bulk"):
             assert_serving_logs_equal(log[name], scan[name])
 

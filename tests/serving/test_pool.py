@@ -5,7 +5,8 @@ import math
 import pytest
 
 from repro.serverless.service_profile import ColdStartModel
-from repro.serving.pool import ReferenceWarmPool, WarmPool, WarmPoolConfig
+from repro.serving.pool import WarmPool, WarmPoolConfig
+from tests.serving._spec import ReferenceWarmPool
 
 pytestmark = pytest.mark.serving
 

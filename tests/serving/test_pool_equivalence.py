@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from repro.serving.fleet import FleetBudget
-from repro.serving.pool import ReferenceWarmPool, WarmPool, WarmPoolConfig
+from repro.serving.pool import WarmPool, WarmPoolConfig
+from tests.serving._spec import ReferenceWarmPool
 
 pytestmark = pytest.mark.serving
 

@@ -36,8 +36,9 @@ from repro.serving import (
     assert_serving_logs_equal,
     run_with_crashes,
 )
-from repro.serving.pool import ReferenceWarmPool, WarmPool
+from repro.serving.pool import WarmPool
 from repro.telemetry.metrics import MetricsRegistry, use_registry
+from tests.serving._spec import ReferenceWarmPool
 
 pytestmark = [pytest.mark.serving, pytest.mark.prewarm]
 
