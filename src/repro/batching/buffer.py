@@ -60,7 +60,6 @@ class BatchingBuffer:
         self._pending_idx: list[int] = []
         self._pending_times: list[float] = []
         self._next_index = 0
-        self._dispatched: list[Batch] = []
         self._last_time = -np.inf
 
     # ------------------------------------------------------------- plumbing
@@ -161,7 +160,6 @@ class BatchingBuffer:
         )
         del self._pending_idx[:count]
         del self._pending_times[:count]
-        self._dispatched.append(batch)
         registry = get_registry()
         if registry.enabled:
             waits = batch.waits()

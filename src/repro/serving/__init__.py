@@ -76,7 +76,6 @@ from repro.serving.fleet import (
     EndpointSpec,
     FleetBudget,
     FleetEngine,
-    FleetLog,
     FleetScheduler,
     split_by_shares,
 )
@@ -87,7 +86,12 @@ from repro.serving.generation import (
     validate_generation_config,
 )
 from repro.serving.guardrail import GuardrailConfig, SLOGuardrail
-from repro.serving.log import ServingDecision, ServingLog
+from repro.serving.log import (
+    FleetLog,
+    ServingDecision,
+    ServingLog,
+    publish_telemetry,
+)
 from repro.serving.pool import Lease, PoolStats, WarmPool, WarmPoolConfig
 from repro.serving.prewarm import (
     EmpiricalRateForecaster,
@@ -139,6 +143,7 @@ __all__ = [
     "assert_serving_logs_equal",
     "journal_path",
     "load_fleet_config",
+    "publish_telemetry",
     "load_generation_config",
     "load_outage_config",
     "split_by_shares",

@@ -44,7 +44,10 @@ from repro.utils.io import atomic_write
 #: ``n_failed`` counter: the log derives it from the ``failed`` mask),
 #: completion payloads are ``(container, first_index, size, donor)``, and
 #: the fingerprint groups the drift and prediction-drift knobs.
-SNAPSHOT_FORMAT = 3
+#: Format 4: counters are named after their log fields (plus
+#: ``queued_batches``/``decision_errors``), batch rows carry a kind and an
+#: end time, and the buffer no longer keeps its released batches.
+SNAPSHOT_FORMAT = 4
 
 
 class CheckpointError(RuntimeError):

@@ -47,8 +47,6 @@ Scheduled windows may be replaced by a sampled schedule::
 
 from __future__ import annotations
 
-import json
-import math
 import os
 from dataclasses import dataclass
 
@@ -59,6 +57,15 @@ from repro.serverless.outages import (
     OutageWindow,
     StragglerModel,
     sample_outage_windows,
+)
+from repro.utils.validation import (
+    ConfigError,
+    _check_keys,
+    _fail,
+    _integer,
+    _number,
+    _object,
+    load_json_config,
 )
 
 __all__ = [
@@ -186,8 +193,8 @@ class FailoverConfig:
 # --------------------------------------------------------------------------
 
 
-class OutageConfigError(ValueError):
-    """An outage config failed validation; the message names the path."""
+#: An outage config failed validation; the message names the path.
+OutageConfigError = ConfigError
 
 
 _OUTAGE_KEYS = {"windows", "random", "crash", "straggler", "seed", "degrade"}
@@ -202,59 +209,6 @@ _HEDGE_KEYS = {"percentile", "multiplier", "min_observations", "window"}
 _FLEET_DEGRADE_KEYS = {"brownout", "failover"}
 _BROWNOUT_KEYS = {"max_total_queued"}
 _FAILOVER_KEYS = {"min_queue"}
-
-
-def _fail(path: str, message: str) -> None:
-    raise OutageConfigError(f"{path}: {message}")
-
-
-def _check_keys(obj: dict, allowed: set, path: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        _fail(path, f"unknown keys {unknown} (allowed: {sorted(allowed)})")
-
-
-def _object(obj, path: str) -> dict:
-    if not isinstance(obj, dict):
-        _fail(path, f"must be an object, got {type(obj).__name__}")
-    return obj
-
-
-def _number(obj: dict, key: str, path: str, default=None, *,
-            minimum: float | None = None, maximum: float | None = None,
-            strict: bool = False, nullable: bool = False):
-    if key not in obj:
-        return default
-    v = obj[key]
-    if v is None and nullable:
-        return None
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(f"{path}.{key}", f"must be a number, got {v!r}")
-    v = float(v)
-    if not math.isfinite(v):
-        _fail(f"{path}.{key}", f"must be finite, got {v!r}")
-    if minimum is not None:
-        if strict and not v > minimum:
-            _fail(f"{path}.{key}", f"must be > {minimum:g}, got {v:g}")
-        if not strict and not v >= minimum:
-            _fail(f"{path}.{key}", f"must be >= {minimum:g}, got {v:g}")
-    if maximum is not None and v > maximum:
-        _fail(f"{path}.{key}", f"must be <= {maximum:g}, got {v:g}")
-    return v
-
-
-def _integer(obj: dict, key: str, path: str, default=None, *,
-             minimum: int | None = None, nullable: bool = False):
-    if key not in obj:
-        return default
-    v = obj[key]
-    if v is None and nullable:
-        return None
-    if isinstance(v, bool) or not isinstance(v, int):
-        _fail(f"{path}.{key}", f"must be an integer, got {v!r}")
-    if minimum is not None and v < minimum:
-        _fail(f"{path}.{key}", f"must be >= {minimum}, got {v}")
-    return v
 
 
 def _windows(obj, path: str) -> tuple[OutageWindow, ...]:
@@ -435,15 +389,4 @@ def load_outage_config(
     message on any problem — unreadable file, invalid JSON, or a schema
     violation.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise OutageConfigError(
-            f"cannot read {os.fspath(path)}: {exc}"
-        ) from exc
-    except json.JSONDecodeError as exc:
-        raise OutageConfigError(
-            f"{os.fspath(path)} is not valid JSON: {exc}"
-        ) from exc
-    return validate_outage_config(doc)
+    return validate_outage_config(load_json_config(path))

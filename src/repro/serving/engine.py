@@ -63,14 +63,13 @@ import sys
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Callable
 
 import numpy as np
 
 from repro.batching.buffer import Batch, BatchingBuffer
 from repro.batching.config import BatchConfig
 from repro.batching.continuous import ContinuousSession, GenRequest
-from repro.core.drift import WorkloadDriftDetector, prediction_drift
+from repro.core.drift import prediction_drift
 from repro.core.types import Decision
 from repro.evaluation.harness import Chooser, _resolve_sequence_length
 from repro.serverless.faults import inject_faults
@@ -94,7 +93,17 @@ from repro.serving.checkpoint import (
 )
 from repro.serving.degrade import DegradeConfig
 from repro.serving.guardrail import OPEN, GuardrailConfig, SLOGuardrail
-from repro.serving.log import BatchColumns, ServingDecision, ServingLog
+from repro.serving.log import (
+    CRASHED,
+    FAILOVER,
+    HEDGE,
+    PRIMARY,
+    SESSION,
+    BatchColumns,
+    ServingDecision,
+    ServingLog,
+    publish_telemetry,
+)
 from repro.serving.pool import WarmPool, WarmPoolConfig
 from repro.serving.prewarm import PrewarmPolicy
 from repro.telemetry.events import (
@@ -144,13 +153,6 @@ _K_COLD_RETRY = sys.intern("cold_retry")
 _K_HEDGE = sys.intern("hedge")
 
 _INF = float("inf")
-
-# What one ``_execute`` call runs (see its docstring): the primary dispatch
-# runs every stage; a failed-over batch skips the crash hazard and hedging;
-# a hedge duplicate also skips per-attempt faults.
-_PRIMARY = 0
-_FAILOVER = 1
-_HEDGE = 2
 
 
 @dataclass
@@ -216,7 +218,8 @@ class _RunState:
 @dataclass
 class _RunContext:
     """Transient per-drive plumbing that must NOT be checkpointed:
-    the live telemetry registry, the open journal handle, the snapshot
+    the live telemetry registry (events as they happen, instruments from
+    the finished log), the open journal handle, the snapshot
     cadence, the chaos hook, the journal-replay expectation, the stage
     timers, and the service/cost memo caches (pure-function caches — a
     restore rebuilds them from scratch with identical values)."""
@@ -324,10 +327,11 @@ class ServingEngine:
         batch durations gets a duplicate dispatch; first completion wins
         the latency, both bill). ``None`` changes nothing.
     metrics_prefix:
-        Namespace for the engine's telemetry (counters/histograms). The
-        default ``"serving"`` keeps the historical names; the fleet runs
-        each endpoint under ``serving.<endpoint>`` so two endpoints never
-        share a counter.
+        Namespace for the engine's telemetry (counters/histograms, published
+        from the finished log when a registry is enabled). The default
+        ``"serving"`` keeps the historical names; the fleet runs each
+        endpoint under ``serving.<endpoint>`` so two endpoints never share
+        a counter.
     """
 
     #: Fleet-failover wiring, set per lane by ``FleetEngine.run`` (the
@@ -564,9 +568,12 @@ class ServingEngine:
             shed=np.zeros(n, dtype=bool),
             failed=np.zeros(n, dtype=bool),
             trace=[] if record_trace else None,
+            # Every counter is the ServingLog field of the same name.
             counters={
-                "reconfigurations": 0, "drift": 0, "pred_drift": 0,
-                "retrains": 0, "shed_batches": 0, "n_retries": 0,
+                "reconfigurations": 0, "drift_triggers": 0,
+                "prediction_drift_triggers": 0, "retrains": 0,
+                "shed_batches": 0, "queued_batches": 0, "n_retries": 0,
+                "decision_errors": 0,
                 "guardrail_trips": 0, "guardrail_restores": 0,
                 "guardrail_probes": 0, "guardrail_suppressed": 0,
                 "checkpoints": 0, "prewarm_ticks": 0, "prewarm_cost": 0.0,
@@ -646,7 +653,8 @@ class ServingEngine:
 
         Because the engine is deterministic, the returned
         :class:`ServingLog` is bit-identical to the log of an uninterrupted
-        run — that equivalence is this subsystem's keystone property.
+        run — that equivalence is this subsystem's keystone property — and
+        so is its telemetry, plus ``checkpoint.restores``/``replayed_events``.
         """
         payload = read_snapshot(path)
         theirs = payload["fingerprint"]
@@ -748,6 +756,9 @@ class ServingEngine:
             chooser_blob = None
         ctx.journal.sync()  # the snapshot must never reference journal
         # entries the disk does not have
+        # Counted before the state is pickled, so a run restored from this
+        # snapshot reports the same total as one that never crashed.
+        st.counters["checkpoints"] += 1
         write_snapshot(ctx.snapshot_path, {
             "fingerprint": self._fingerprint(),
             "state": st,
@@ -760,11 +771,8 @@ class ServingEngine:
             "journal_entries": ctx.journal.entries,
             "checkpoint_every": ctx.checkpoint_every,
         })
-        st.counters["checkpoints"] += 1
-        registry = ctx.registry
-        if registry.enabled:
-            registry.counter("checkpoint.snapshots").inc()
-            registry.record_event(CheckpointEvent(
+        if ctx.registry.enabled:
+            ctx.registry.record_event(CheckpointEvent(
                 time=float(st.clock),
                 events_processed=st.events_processed,
                 journal_entries=ctx.journal.entries,
@@ -772,6 +780,8 @@ class ServingEngine:
 
     # ------------------------------------------------------------ event loop
     def _drive(self, st: _RunState, ctx: _RunContext) -> ServingLog:
+        """Run to completion, then publish the finished log's telemetry
+        (when a registry is enabled) and return the log."""
         if (
             ctx.journal is None
             and ctx.snapshot_path is None
@@ -802,7 +812,10 @@ class ServingEngine:
                     )
         finally:
             timers.flush()
-        return self._finish(st)
+        log = self._finish(st)
+        if ctx.registry.enabled:
+            publish_telemetry(log, ctx.registry, self.metrics_prefix)
+        return log
 
     def _drive_fast(self, st: _RunState, ctx: _RunContext) -> None:
         """The uninstrumented hot loop: same events, same order, less work.
@@ -903,9 +916,6 @@ class ServingEngine:
         st.arrivals_seen += 1
         if st.trace is not None or ctx.journal is not None:
             self._emit(st, ctx, ("arrival", now, i))
-        registry = ctx.registry
-        if registry.enabled:
-            registry.counter(f"{self.metrics_prefix}.requests").inc()
         if self._gen_continuous:
             self._gen_arrival(st, ctx, now, i)
         else:
@@ -970,20 +980,18 @@ class ServingEngine:
             st.timers.add(deadline)
             self._push(st, deadline, _P_TIMER, _K_TIMER, deadline)
 
-    def _trigger_decision(self, st: _RunState, now: float, reason: str) -> None:
-        self._push(st, now, _P_DECISION, _K_DECISION, reason)
-
     # ----------------------------------------------------------- data plane
     def _execute(self, st: _RunState, ctx: _RunContext, batch: Batch,
-                 now: float, mode: int = _PRIMARY, lease=None,
+                 now: float, mode: int = PRIMARY, lease=None,
                  donor: int | None = None, slowdown: float | None = None,
                  primary: tuple | None = None) -> bool:
         """Run ``batch`` on a container from ``now``: the one data plane.
 
         ``lease`` is the container; without one, a container of the active
-        tier is acquired from this lane's pool (a primary dispatch records
-        the cold delay), and ``False`` — nothing started — is returned when
-        the pool denies. Then, in order:
+        tier is acquired from this lane's pool, and ``False`` — nothing
+        started — is returned when the pool denies. A primary runs every stage below; a failed-over
+        batch skips the crash hazard and hedging; a hedge duplicate also
+        skips per-attempt faults. Then, in order:
 
         1. service: ``s(M, B)``, or in buffer generation mode the batch's
            ``(ttft, tpot)`` and its longest decode (the container is held,
@@ -995,26 +1003,23 @@ class ServingEngine:
         4. crash hazard, primary only, two draws from ``spawn_rng(row, 1)``:
            the container dies a uniform fraction into the run, the batch
            bills the partial run and re-enters dispatch at the crash;
-        5. bookkeeping: batch row, latency/TTFT/TPOT slices, failed mask,
-           counters; a hedge duplicate (``primary`` = the primary's
-           ``(container_id, completion)``) overwrites the latencies only
-           when it finishes first;
+        5. bookkeeping: batch row (its kind is ``mode``, or ``CRASHED``),
+           latency/TTFT/TPOT slices, failed mask, counters; a hedge
+           duplicate (``primary`` = the primary's ``(container_id,
+           completion)``) overwrites the latencies only when it finishes
+           first;
         6. in-flight registration and hedge scheduling, primary only;
-        7. completion push, metrics, and the trace/journal emit.
+        7. completion push and the trace/journal emit.
 
         ``row`` is ``len(st.batches)`` on entry, the batch row this call
         appends, so every draw is a function of the row index, never of
-        event order. ``mode`` is ``_PRIMARY``, ``_FAILOVER`` (``donor`` =
-        the lane whose pool hosts the container) or ``_HEDGE``.
+        event order. ``mode`` is ``PRIMARY``, ``FAILOVER`` (``donor`` =
+        the lane whose pool hosts the container) or ``HEDGE``.
         """
         if lease is None:
             lease = st.pool.acquire(now, st.active.memory_mb)
             if lease is None:
                 return False
-            if mode == _PRIMARY and lease.cold and ctx.registry.enabled:
-                ctx.registry.histogram(
-                    f"{self.metrics_prefix}.cold_delay"
-                ).observe(lease.cold_delay)
         platform = self.platform
         counters = st.counters
         memory_mb = st.active.memory_mb
@@ -1049,7 +1054,7 @@ class ServingEngine:
             lead *= slowdown
             if gen:
                 tpot *= slowdown
-            if mode == _PRIMARY:
+            if mode == PRIMARY:
                 counters["straggler_batches"] += 1
         # 3. Per-attempt faults; ``tail`` is what runs after the lead: the
         # fault delay, or the decode steps of the longest output.
@@ -1058,7 +1063,7 @@ class ServingEngine:
         cost = None
         if gen:
             tail = (max_out - 1) * tpot
-        elif mode != _HEDGE and platform.faults_active:
+        elif mode != HEDGE and platform.faults_active:
             outcome = inject_faults(
                 np.asarray([cold_delay + lead]), memory_mb, platform.pricing,
                 platform.faults, platform.retry_policy,
@@ -1071,7 +1076,7 @@ class ServingEngine:
         else:
             tail = 0.0
         duration = cold_delay + lead + tail
-        if self._by_duration and mode != _FAILOVER:
+        if self._by_duration and mode != FAILOVER:
             completion = now + duration
         else:
             completion = now + cold_delay + lead + tail
@@ -1082,10 +1087,9 @@ class ServingEngine:
                 cost = float(platform.pricing.invocation_cost(memory_mb,
                                                               duration))
                 ctx.cost_cache[key] = cost
-        registry = ctx.registry
         tracing = st.trace is not None or ctx.journal is not None
         # 4. Crash hazard: no completion, no latency, no hedge.
-        if mode == _PRIMARY and self._crash_hazard:
+        if mode == PRIMARY and self._crash_hazard:
             u = platform.spawn_rng(len(st.batches), 1).random(2)
             if float(u[0]) < self.outage_config.crash_probability(now):
                 crash_time = now + float(u[1]) * duration
@@ -1093,31 +1097,23 @@ class ServingEngine:
                     memory_mb, crash_time - now
                 ))
                 st.batches.append(batch.dispatch_time, now, size, partial,
-                                  cold, memory_mb, 0)
+                                  cold, memory_mb, 0, CRASHED, crash_time)
                 self._push(st, crash_time, _P_CRASH, _K_CRASH, (cid, batch))
-                if registry.enabled:
-                    prefix = self.metrics_prefix
-                    registry.counter(f"{prefix}.batches").inc()
-                    registry.counter(
-                        f"{prefix}.cold_starts" if cold
-                        else f"{prefix}.warm_starts"
-                    ).inc()
                 if tracing:
                     self._emit(st, ctx, ("start", now, cid, size, cold,
                                          memory_mb, completion))
                 return True
         # 5. Bookkeeping.
         st.batches.append(batch.dispatch_time, now, size, cost, cold,
-                          memory_mb, retries)
+                          memory_mb, retries, mode, completion)
         if retries:
             counters["n_retries"] += retries
         arrivals = batch.arrival_times
-        if mode == _HEDGE:
-            won = completion < primary[1]
+        if mode == HEDGE:
             counters["hedges"] += 1
             counters["hedge_cost"] += cost
             st.hedged[i0:stop] = True
-            if won:
+            if completion < primary[1]:
                 # The winning attempt is clean: clear any fault verdict.
                 st.latencies[i0:stop] = completion - arrivals
                 st.failed[i0:stop] = False
@@ -1134,11 +1130,11 @@ class ServingEngine:
             st.latencies[i0:stop] = completion - arrivals
         if batch_failed:
             st.failed[i0:stop] = True
-        if mode == _FAILOVER:
+        if mode == FAILOVER:
             st.failed_over[i0:stop] = True
             counters["failover_batches"] += 1
         # 6. In-flight registration and hedge scheduling.
-        if mode == _PRIMARY:
+        if mode == PRIMARY:
             if st.inflight is not None:
                 st.inflight[cid] = (completion, batch)
             hedge = self._hedge
@@ -1153,41 +1149,14 @@ class ServingEngine:
                 # The current batch joins the window only after the delay
                 # is computed: a hedge judges against *previous* dispatches.
                 obs.append(duration)
-        # 7. Completion, metrics, emit. A hedge's size-0 payload releases
-        # its container without re-touching the request slice.
+        # 7. Completion, emit. A hedge's size-0 payload releases its
+        # container without re-touching the request slice.
         self._push(st, completion, _P_COMPLETION, _K_COMPLETION,
-                   (cid, i0, 0 if mode == _HEDGE else size, donor))
-        if registry.enabled:
-            prefix = self.metrics_prefix
-            registry.counter(f"{prefix}.batches").inc()
-            if mode == _FAILOVER:
-                registry.counter(f"{prefix}.degrade.failover").inc()
-            elif mode == _HEDGE:
-                registry.counter(f"{prefix}.degrade.hedges").inc()
-                registry.counter(f"{prefix}.degrade.hedge_cost").inc(cost)
-                if won:
-                    registry.counter(f"{prefix}.degrade.hedge_wins").inc()
-            registry.counter(
-                f"{prefix}.cold_starts" if cold else f"{prefix}.warm_starts"
-            ).inc()
-            if mode == _PRIMARY:
-                registry.histogram(f"{prefix}.queue_delay").observe(
-                    now - batch.dispatch_time
-                )
-                if slowdown != 1.0:
-                    registry.counter(
-                        f"{prefix}.outage.straggler_batches"
-                    ).inc()
-            if gen:
-                registry.counter(f"{prefix}.gen.requests").inc(size)
-                registry.counter(f"{prefix}.gen.tokens").inc(int(out.sum()))
-                registry.histogram(f"{prefix}.ttft").observe_many(
-                    st.ttft[i0:stop]
-                )
+                   (cid, i0, 0 if mode == HEDGE else size, donor))
         if tracing:
-            if mode == _PRIMARY:
+            if mode == PRIMARY:
                 event = ("start", now, cid, size, cold, memory_mb, completion)
-            elif mode == _FAILOVER:
+            elif mode == FAILOVER:
                 event = ("failover", now, donor, cid, size)
             else:
                 event = ("hedge", now, primary[0], cid, size)
@@ -1214,13 +1183,6 @@ class ServingEngine:
         st.pool.kill(container_id)
         st.counters["crashed_containers"] += 1
         st.counters["crash_requeued"] += batch.size
-        registry = ctx.registry
-        if registry.enabled:
-            prefix = self.metrics_prefix
-            registry.counter(f"{prefix}.outage.crashes").inc()
-            registry.counter(f"{prefix}.outage.crash_requeued").inc(
-                batch.size
-            )
         if st.trace is not None or ctx.journal is not None:
             self._emit(st, ctx, ("crash", now, container_id, batch.size))
         self._dispatch(st, ctx, batch, now)
@@ -1233,13 +1195,8 @@ class ServingEngine:
         batch, attempt, sched = payload
         if self._execute(st, ctx, batch, now):
             return
-        registry = ctx.registry
         if attempt < len(sched):
             st.counters["cold_retries"] += 1
-            if registry.enabled:
-                registry.counter(
-                    f"{self.metrics_prefix}.degrade.cold_retries"
-                ).inc()
             if st.trace is not None or ctx.journal is not None:
                 self._emit(st, ctx, ("cold_retry", now, batch.size,
                                      attempt + 1))
@@ -1247,10 +1204,6 @@ class ServingEngine:
                        (batch, attempt + 1, sched))
             return
         st.counters["cold_retry_exhausted"] += 1
-        if registry.enabled:
-            registry.counter(
-                f"{self.metrics_prefix}.degrade.retry_exhausted"
-            ).inc()
         self._enqueue_or_shed(st, ctx, batch, now)
 
     def _on_hedge(self, st: _RunState, ctx: _RunContext, now: float,
@@ -1266,15 +1219,11 @@ class ServingEngine:
         if rec is None:
             return  # completed (or crashed) before the hedge fired
         completion, batch = rec
-        if self._execute(st, ctx, batch, now, _HEDGE,
+        if self._execute(st, ctx, batch, now, HEDGE,
                          primary=(container_id, completion)):
             return
         # No capacity for speculation — the primary keeps running.
         st.counters["hedge_denied"] += 1
-        if ctx.registry.enabled:
-            ctx.registry.counter(
-                f"{self.metrics_prefix}.degrade.hedge_denied"
-            ).inc()
 
     # ------------------------------------------------- continuous batching
     def _gen_arrival(self, st: _RunState, ctx: _RunContext, now: float,
@@ -1287,9 +1236,6 @@ class ServingEngine:
             prompt_tokens=int(st.prompt_tokens[i]),
             output_tokens=int(st.output_tokens[i]),
         )
-        registry = ctx.registry
-        if registry.enabled:
-            registry.counter(f"{self.metrics_prefix}.gen.requests").inc()
         for sess in st.gen_sessions.values():
             if sess.can_accept(req):
                 st.gen_queue.append(req)
@@ -1304,10 +1250,8 @@ class ServingEngine:
                 # sheds the arrival; it counts against goodput as a miss.
                 st.shed[i] = True
                 st.counters["gen_shed"] += 1
-                if registry.enabled:
-                    registry.counter(f"{self.metrics_prefix}.shed_requests").inc()
-                    registry.counter(f"{self.metrics_prefix}.gen.shed").inc()
-                    registry.record_event(ShedEvent(
+                if ctx.registry.enabled:
+                    ctx.registry.record_event(ShedEvent(
                         time=now, requests=1,
                         queued_batches=len(st.gen_queue),
                     ))
@@ -1335,18 +1279,6 @@ class ServingEngine:
         st.gen_sessions[cid] = sess
         st.gen_session_meta[cid] = (now, lease.cold, lease.cold_delay)
         st.counters["gen_sessions"] += 1
-        registry = ctx.registry
-        if registry.enabled:
-            prefix = self.metrics_prefix
-            registry.counter(f"{prefix}.gen.sessions").inc()
-            registry.counter(f"{prefix}.gen.prefill_iterations").inc()
-            registry.counter(
-                f"{prefix}.cold_starts" if lease.cold else f"{prefix}.warm_starts"
-            ).inc()
-            if lease.cold:
-                registry.histogram(f"{prefix}.cold_delay").observe(
-                    lease.cold_delay
-                )
         if st.trace is not None or ctx.journal is not None:
             self._emit(st, ctx, ("gen_session", now, cid, lease.cold,
                                  sess.memory_mb))
@@ -1370,24 +1302,6 @@ class ServingEngine:
                     (latency - st.ttft[req.index]) / (req.output_tokens - 1)
                 )
             st.counters["gen_tokens"] += req.output_tokens
-        registry = ctx.registry
-        if registry.enabled:
-            prefix = self.metrics_prefix
-            if res.prefilled:
-                registry.histogram(f"{prefix}.ttft").observe_many(
-                    st.ttft[[r.index for r in res.prefilled]]
-                )
-            if res.finished:
-                registry.histogram(f"{prefix}.latency").observe_many(
-                    st.latencies[[r.index for r in res.finished]]
-                )
-                registry.counter(f"{prefix}.gen.tokens").inc(
-                    sum(r.output_tokens for r in res.finished)
-                )
-            if res.next_kind == "prefill":
-                registry.counter(f"{prefix}.gen.prefill_iterations").inc()
-            elif res.next_kind == "decode":
-                registry.counter(f"{prefix}.gen.decode_iterations").inc()
         if st.guardrail is not None and res.prefilled:
             ttfts = st.ttft[[r.index for r in res.prefilled]]
             for action, observed in st.guardrail.observe(ttfts, now,
@@ -1412,17 +1326,10 @@ class ServingEngine:
         # requests it served, one invocation fee — the continuous win the
         # cost model surfaces.
         st.batches.append(start, start, sess.n_served, cost, cold,
-                          sess.memory_mb, 0)
+                          sess.memory_mb, 0, SESSION, now)
         st.counters["gen_prefill_iterations"] += sess.n_prefills
         st.counters["gen_decode_iterations"] += sess.n_decodes
         st.pool.release(cid, now)
-        registry = ctx.registry
-        if registry.enabled:
-            prefix = self.metrics_prefix
-            registry.counter(f"{prefix}.batches").inc()
-            registry.histogram(f"{prefix}.gen.session_seconds").observe(
-                duration
-            )
         if st.trace is not None or ctx.journal is not None:
             self._emit(st, ctx, ("gen_release", now, cid, sess.n_served))
 
@@ -1447,10 +1354,6 @@ class ServingEngine:
                 sched = sched[:keep]
             if sched.size:
                 st.counters["cold_retries"] += 1
-                if ctx.registry.enabled:
-                    ctx.registry.counter(
-                        f"{self.metrics_prefix}.degrade.cold_retries"
-                    ).inc()
                 if st.trace is not None or ctx.journal is not None:
                     self._emit(st, ctx, ("cold_retry", now, batch.size, 1))
                 self._push(st, now + float(sched[0]), _P_COLD_RETRY,
@@ -1464,15 +1367,12 @@ class ServingEngine:
         """No capacity (and no retry budget left): queue, or shed at the
         queue cap. The tail of the historical ``_dispatch``, split out so
         the cold-retry path can fall back to it after exhaustion."""
-        registry = ctx.registry
         limit = self.pool_config.max_queued_batches
         if limit is not None and len(st.queue) >= limit:
             st.shed[batch.first_index:batch.first_index + batch.size] = True
             st.counters["shed_batches"] += 1
-            if registry.enabled:
-                registry.counter(f"{self.metrics_prefix}.shed_requests").inc(batch.size)
-                registry.counter(f"{self.metrics_prefix}.shed_batches").inc()
-                registry.record_event(ShedEvent(
+            if ctx.registry.enabled:
+                ctx.registry.record_event(ShedEvent(
                     time=now, requests=batch.size,
                     queued_batches=len(st.queue),
                 ))
@@ -1480,8 +1380,7 @@ class ServingEngine:
                 self._emit(st, ctx, ("shed", now, batch.size))
             return
         st.queue.append(batch)
-        if registry.enabled:
-            registry.counter(f"{self.metrics_prefix}.queued_batches").inc()
+        st.counters["queued_batches"] += 1
         if st.trace is not None or ctx.journal is not None:
             self._emit(st, ctx, ("queued", now, batch.size))
 
@@ -1501,11 +1400,6 @@ class ServingEngine:
             self._donor_pools[donor].release(container_id, now)
         if self._track_latencies:
             st.recent_latencies.extend(lat.tolist())
-        registry = ctx.registry
-        if registry.enabled:
-            registry.histogram(f"{self.metrics_prefix}.latency").observe_many(
-                lat
-            )
         if st.trace is not None or ctx.journal is not None:
             self._emit(st, ctx, ("completion", now, container_id))
         if donor is None and st.queue:
@@ -1539,7 +1433,6 @@ class ServingEngine:
         into a lane; ``_on_decision`` funnels chooser output through the
         same path so both produce identical event sequences.
         """
-        registry = ctx.registry
         record = ServingDecision(
             time=now,
             reason=reason,
@@ -1549,8 +1442,6 @@ class ServingEngine:
             predicted_p95=predicted_p95,
         )
         st.decisions.append(record)
-        if registry.enabled:
-            registry.counter(f"{self.metrics_prefix}.decisions").inc()
         self._emit(st, ctx, ("decision", now, reason, str(config)))
         if config != st.target:
             st.target = config
@@ -1573,7 +1464,6 @@ class ServingEngine:
 
     def _on_decision(self, st: _RunState, ctx: _RunContext, now: float,
                      reason: str) -> None:
-        registry = ctx.registry
         if self.chooser is None:
             return
         suppressed = st.guardrail is not None and st.guardrail.state == OPEN
@@ -1583,8 +1473,6 @@ class ServingEngine:
             # and the learned controller does not get to reconfigure until
             # the half-open probe re-admits it.
             st.counters["guardrail_suppressed"] += 1
-            if registry.enabled:
-                registry.counter("guardrail.suppressed_decisions").inc()
             self._emit(st, ctx, ("decision_suppressed", now, reason))
         elif hist.size >= self.min_history:
             try:
@@ -1592,8 +1480,7 @@ class ServingEngine:
             except Exception:
                 # Live serving must survive a controller crash with no
                 # fallback decision; keep the active configuration.
-                if registry.enabled:
-                    registry.counter(f"{self.metrics_prefix}.decision_errors").inc()
+                st.counters["decision_errors"] += 1
                 self._emit(st, ctx, ("decision_error", now, reason))
                 decision = None
             if decision is not None:
@@ -1623,10 +1510,8 @@ class ServingEngine:
         st.counters["reconfigurations"] += 1
         st.pred_p95 = record.predicted_p95
         st.recent_latencies.clear()
-        registry = ctx.registry
-        if registry.enabled:
-            registry.counter(f"{self.metrics_prefix}.reconfigurations").inc()
-            registry.record_event(ReconfigureEvent(
+        if ctx.registry.enabled:
+            ctx.registry.record_event(ReconfigureEvent(
                 time=now, reason=reason,
                 memory_mb=st.active.memory_mb,
                 batch_size=st.active.batch_size, timeout=st.active.timeout,
@@ -1641,7 +1526,6 @@ class ServingEngine:
 
     def _on_guardrail_action(self, st: _RunState, ctx: _RunContext,
                              now: float, action: str, observed: float) -> None:
-        registry = ctx.registry
         guard = st.guardrail
         if action == "tripped":
             fallback = guard.fallback_config(st.active)
@@ -1663,14 +1547,13 @@ class ServingEngine:
             event_config = fallback
         elif action == "probe":
             st.counters["guardrail_probes"] += 1
-            self._trigger_decision(st, now, "guardrail-probe")
+            self._push(st, now, _P_DECISION, _K_DECISION, "guardrail-probe")
             event_config = st.active
         else:  # "restored"
             st.counters["guardrail_restores"] += 1
             event_config = st.active
-        if registry.enabled:
-            registry.counter(f"guardrail.{action}").inc()
-            registry.record_event(GuardrailEvent(
+        if ctx.registry.enabled:
+            ctx.registry.record_event(GuardrailEvent(
                 time=now, action=action, state=guard.state,
                 observed_p=float(observed), slo=self.slo,
                 memory_mb=event_config.memory_mb,
@@ -1693,15 +1576,14 @@ class ServingEngine:
         ):
             score = detector.score(np.diff(recent))
             if score >= detector.threshold:
-                st.counters["drift"] += 1
+                st.counters["drift_triggers"] += 1
                 st.cooldown_until = now + drift.cooldown_s
                 if registry.enabled:
-                    registry.counter(f"{self.metrics_prefix}.drift_triggers").inc()
                     registry.record_event(DriftEvent(
                         time=now, detector="workload", score=score
                     ))
                 self._emit(st, ctx, ("drift", now, "workload", round(score, 9)))
-                self._trigger_decision(st, now, "drift")
+                self._push(st, now, _P_DECISION, _K_DECISION, "drift")
                 if (drift.retrain_delay_s is not None
                         and not st.retrain_pending):
                     st.retrain_pending = True
@@ -1719,18 +1601,16 @@ class ServingEngine:
                 error = abs(st.pred_p95 - observed) / observed
                 if prediction_drift(error, pred.baseline_error,
                                     pred.tolerance):
-                    st.counters["pred_drift"] += 1
+                    st.counters["prediction_drift_triggers"] += 1
                     st.cooldown_until = now + drift.cooldown_s
                     if registry.enabled:
-                        registry.counter(
-                            f"{self.metrics_prefix}.prediction_drift_triggers"
-                        ).inc()
                         registry.record_event(DriftEvent(
                             time=now, detector="prediction", score=error
                         ))
                     self._emit(st, ctx, ("drift", now, "prediction",
                                          round(error, 9)))
-                    self._trigger_decision(st, now, "prediction-drift")
+                    self._push(st, now, _P_DECISION, _K_DECISION,
+                               "prediction-drift")
 
     def _on_retrain(self, st: _RunState, ctx: _RunContext, now: float,
                     _payload) -> None:
@@ -1750,8 +1630,6 @@ class ServingEngine:
             ctx.service_cache.clear()
             ctx.token_cache.clear()
             ctx.cost_cache.clear()
-        if ctx.registry.enabled:
-            ctx.registry.counter(f"{self.metrics_prefix}.retrains").inc()
         self._emit(st, ctx, ("retrain", now))
 
     def _on_prewarm(self, st: _RunState, ctx: _RunContext, now: float,
@@ -1797,15 +1675,6 @@ class ServingEngine:
                 st.counters["prewarm_cost"] += cost
         if plan.retire:
             retired = st.pool.retire_idle(now, tier, plan.retire)
-        registry = ctx.registry
-        if registry.enabled:
-            prefix = self.metrics_prefix
-            registry.counter(f"{prefix}.prewarm.ticks").inc()
-            if provisioned:
-                registry.counter(f"{prefix}.prewarm.provisioned").inc(provisioned)
-                registry.counter(f"{prefix}.prewarm.cost").inc(cost)
-            if retired:
-                registry.counter(f"{prefix}.prewarm.retired").inc(retired)
         if st.trace is not None or ctx.journal is not None:
             self._emit(st, ctx, ("prewarm", now, round(plan.rate, 9),
                                  plan.target, provisioned, retired))
@@ -1816,7 +1685,12 @@ class ServingEngine:
     def _finish(self, st: _RunState) -> ServingLog:
         stats = st.pool.stats
         (b_dispatch, b_start, b_sizes, b_costs, b_cold, b_memory,
-         b_retries) = st.batches.arrays()
+         b_retries, b_kinds, b_ends) = st.batches.arrays()
+        counts = dict(st.counters)
+        # The failed mask is the one source of truth: a hedge that beats a
+        # faulted primary clears its requests' verdict.
+        counts["n_failed"] = int(st.failed.sum())
+        gen = self.generation_config
         return ServingLog(
             name=st.name, trace=st.trace_name, slo=self.slo,
             arrival_times=st.ts,
@@ -1830,32 +1704,23 @@ class ServingEngine:
             batch_cold=b_cold,
             batch_memory=b_memory,
             batch_retries=b_retries,
+            batch_kinds=b_kinds,
+            end_times=b_ends,
+            cold_delays={
+                float(m): st.pool.cold_delay(m)
+                for m in np.unique(b_memory[b_cold])
+            },
             decisions=st.decisions,
-            reconfigurations=st.counters["reconfigurations"],
-            drift_triggers=st.counters["drift"],
-            prediction_drift_triggers=st.counters["pred_drift"],
-            retrains=st.counters["retrains"],
-            shed_batches=st.counters["shed_batches"],
             cold_starts=stats.cold_starts,
             warm_starts=stats.warm_starts,
             expired_containers=stats.expired,
             evicted_containers=stats.evicted,
             prewarmed_containers=stats.prewarmed,
             prewarm_retired=stats.retired,
-            prewarm_ticks=st.counters["prewarm_ticks"],
-            prewarm_cost=st.counters["prewarm_cost"],
-            n_retries=st.counters["n_retries"],
-            # The failed mask is the one source of truth: a hedge that
-            # beats a faulted primary clears its requests' verdict.
-            n_failed=int(st.failed.sum()),
+            outage_denied=stats.outage_denied,
             sequence_length=self.sequence_length,
             event_trace=st.trace,
             n_events=st.events_processed,
-            checkpoints=st.counters["checkpoints"],
-            guardrail_trips=st.counters["guardrail_trips"],
-            guardrail_restores=st.counters["guardrail_restores"],
-            guardrail_probes=st.counters["guardrail_probes"],
-            guardrail_suppressed=st.counters["guardrail_suppressed"],
             guardrail_state=(
                 st.guardrail.state if st.guardrail is not None else None
             ),
@@ -1864,27 +1729,8 @@ class ServingEngine:
             prompt_tokens=st.prompt_tokens,
             output_tokens=st.output_tokens,
             ttft_slo=self._gen_ttft_slo,
-            tpot_slo=(
-                self.generation_config.tpot_slo
-                if self.generation_config is not None else None
-            ),
-            gen_sessions=st.counters["gen_sessions"],
-            gen_prefill_iterations=st.counters["gen_prefill_iterations"],
-            gen_decode_iterations=st.counters["gen_decode_iterations"],
-            gen_tokens=st.counters["gen_tokens"],
-            gen_shed=st.counters["gen_shed"],
-            outage_denied=stats.outage_denied,
-            crashed_containers=st.counters["crashed_containers"],
-            crash_requeued=st.counters["crash_requeued"],
-            straggler_batches=st.counters["straggler_batches"],
-            cold_retries=st.counters["cold_retries"],
-            cold_retry_exhausted=st.counters["cold_retry_exhausted"],
-            hedges=st.counters["hedges"],
-            hedge_wins=st.counters["hedge_wins"],
-            hedge_denied=st.counters["hedge_denied"],
-            hedge_cost=st.counters["hedge_cost"],
-            brownout_shed=st.counters["brownout_shed"],
-            failover_batches=st.counters["failover_batches"],
+            tpot_slo=gen.tpot_slo if gen is not None else None,
             hedged=st.hedged,
             failed_over=st.failed_over,
+            **counts,
         )

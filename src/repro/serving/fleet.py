@@ -35,12 +35,12 @@ fault draws are keyed by per-lane batch index), the budget's eviction is
 a pure ``min`` over ``(free_at, lane, container_id)``, and the scheduler
 plans on *fresh fault-free platforms* so planning never consumes a live
 generator. Telemetry is namespaced ``serving.<endpoint>.*`` per lane, so
-two endpoints never share a counter.
+two endpoints never share a counter; it is published from the FleetLog.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 import numpy as np
@@ -56,14 +56,9 @@ from repro.serving.config import (
     PrewarmConfig,
 )
 from repro.serving.degrade import BrownoutConfig, DegradeConfig, FailoverConfig
-from repro.serving.engine import (
-    _FAILOVER,
-    _P_DECISION,
-    ServingEngine,
-    _RunContext,
-)
+from repro.serving.engine import _P_DECISION, ServingEngine, _RunContext
 from repro.serving.guardrail import GuardrailConfig
-from repro.serving.log import ServingLog
+from repro.serving.log import FAILOVER, FleetLog, publish_telemetry
 from repro.serving.pool import WarmPool, WarmPoolConfig
 from repro.telemetry.events import ShedEvent
 from repro.telemetry.metrics import get_registry
@@ -338,44 +333,6 @@ class FleetScheduler:
 
 
 # ------------------------------------------------------------------- fleet
-@dataclass
-class FleetLog:
-    """Per-endpoint :class:`ServingLog`\\ s plus fleet-level aggregates."""
-
-    name: str
-    logs: dict[str, ServingLog]
-    fleet_decisions: int = 0
-    max_containers: int | None = None
-
-    def __getitem__(self, endpoint: str) -> ServingLog:
-        return self.logs[endpoint]
-
-    @property
-    def endpoints(self) -> list[str]:
-        return list(self.logs)
-
-    @property
-    def n_requests(self) -> int:
-        return sum(log.n_requests for log in self.logs.values())
-
-    @property
-    def n_served(self) -> int:
-        return sum(log.n_served for log in self.logs.values())
-
-    @property
-    def n_shed(self) -> int:
-        return sum(log.n_shed for log in self.logs.values())
-
-    @property
-    def total_cost(self) -> float:
-        return float(sum(log.total_cost for log in self.logs.values()))
-
-    @property
-    def cost_per_request(self) -> float:
-        served = self.n_served
-        return self.total_cost / served if served else float("nan")
-
-
 class FleetEngine:
     """N endpoint engines merged into one deterministic event loop.
 
@@ -535,10 +492,13 @@ class FleetEngine:
             spec.name: eng._finish(st)
             for spec, (eng, st, _ctx) in zip(self.endpoints, lanes)
         }
-        return FleetLog(
+        log = FleetLog(
             name=name, logs=logs, fleet_decisions=fleet_decisions,
             max_containers=self.max_containers,
         )
+        if registry.enabled:
+            publish_telemetry(log, registry)
+        return log
 
     # ------------------------------------------------------------ internals
     def _drive_lanes(self, lanes, budget, next_tick) -> int:
@@ -633,9 +593,6 @@ class FleetEngine:
         plan = self.scheduler.decide(histories, self.endpoints)
         if plan is None:
             return 0
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("fleet.scheduler_plans").inc()
         for spec, (eng, st, ctx) in zip(self.endpoints, lanes):
             eng._inject_decision(st, ctx, now, plan[spec.name], "fleet")
         return 1
@@ -690,7 +647,7 @@ class FleetEngine:
                     if lease is None:
                         break
                     o_eng._execute(
-                        o_st, o_ctx, o_st.queue.popleft(), now, _FAILOVER,
+                        o_st, o_ctx, o_st.queue.popleft(), now, FAILOVER,
                         lease=lease, donor=d,
                         slowdown=d_eng._straggler_factor(
                             d_ctx, lease.container_id
@@ -723,13 +680,8 @@ class FleetEngine:
             i0 = batch.first_index
             st.shed[i0:i0 + batch.size] = True
             st.counters["brownout_shed"] += batch.size
-            registry = ctx.registry
-            if registry.enabled:
-                prefix = eng.metrics_prefix
-                registry.counter(f"{prefix}.degrade.brownout_shed").inc(
-                    batch.size
-                )
-                registry.record_event(ShedEvent(
+            if ctx.registry.enabled:
+                ctx.registry.record_event(ShedEvent(
                     time=now, requests=batch.size,
                     queued_batches=len(st.queue),
                 ))

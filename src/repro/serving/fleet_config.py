@@ -32,7 +32,6 @@ supply per-endpoint platforms and choosers.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -45,21 +44,27 @@ from repro.serving.degrade import (
     BrownoutConfig,
     DegradeConfig,
     FailoverConfig,
-    OutageConfigError,
     validate_fleet_degrade,
     validate_outage_config,
 )
 from repro.serving.fleet import EndpointSpec, FleetEngine, FleetScheduler
-from repro.serving.generation import (
-    GenerationConfigError,
-    validate_generation_config,
-)
+from repro.serving.generation import validate_generation_config
 from repro.serving.pool import WarmPoolConfig
 from repro.serving.prewarm import EmpiricalRateForecaster
+from repro.utils.validation import (
+    ConfigError,
+    _check_keys,
+    _fail,
+    _integer,
+    _number,
+    _object,
+    load_json_config,
+)
 
 
-class FleetConfigError(ValueError):
-    """A fleet config file failed validation; the message names the path."""
+#: A fleet config file failed validation; the message names the path
+#: (the generation and outage schemas raise the same class).
+FleetConfigError = ConfigError
 
 
 #: Recognized chooser names (resolved by the caller's ``chooser_factory``).
@@ -183,59 +188,8 @@ class FleetConfig:
 
 
 # ------------------------------------------------------------- validation
-def _fail(path: str, message: str) -> None:
-    raise FleetConfigError(f"{path}: {message}")
-
-
-def _check_keys(obj: dict, allowed: set, path: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        _fail(path, f"unknown keys {unknown} (allowed: {sorted(allowed)})")
-
-
-def _number(obj: dict, key: str, path: str, default=None, *,
-            required: bool = False, minimum: float | None = None,
-            strict: bool = False, nullable: bool = False):
-    if key not in obj:
-        if required:
-            _fail(f"{path}.{key}", "is required")
-        return default
-    v = obj[key]
-    if v is None and nullable:
-        return None
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(f"{path}.{key}", f"must be a number, got {v!r}")
-    v = float(v)
-    if not math.isfinite(v):
-        _fail(f"{path}.{key}", f"must be finite, got {v!r}")
-    if minimum is not None:
-        if strict and not v > minimum:
-            _fail(f"{path}.{key}", f"must be > {minimum:g}, got {v:g}")
-        if not strict and not v >= minimum:
-            _fail(f"{path}.{key}", f"must be >= {minimum:g}, got {v:g}")
-    return v
-
-
-def _integer(obj: dict, key: str, path: str, default=None, *,
-             required: bool = False, minimum: int | None = None,
-             nullable: bool = False):
-    if key not in obj:
-        if required:
-            _fail(f"{path}.{key}", "is required")
-        return default
-    v = obj[key]
-    if v is None and nullable:
-        return None
-    if isinstance(v, bool) or not isinstance(v, int):
-        _fail(f"{path}.{key}", f"must be an integer, got {v!r}")
-    if minimum is not None and v < minimum:
-        _fail(f"{path}.{key}", f"must be >= {minimum}, got {v}")
-    return v
-
-
 def _prewarm(obj, path: str) -> PrewarmConfig:
-    if not isinstance(obj, dict):
-        _fail(path, f"must be an object, got {type(obj).__name__}")
+    _object(obj, path)
     _check_keys(obj, _PREWARM_KEYS, path)
     retire = obj.get("retire", False)
     if not isinstance(retire, bool):
@@ -255,26 +209,8 @@ def _prewarm(obj, path: str) -> PrewarmConfig:
     )
 
 
-def _generation(obj, path: str) -> GenerationConfig:
-    # The generation schema lives next to its config; re-label its error
-    # so fleet callers see a single exception type with the full path.
-    try:
-        return validate_generation_config(obj, path)
-    except GenerationConfigError as exc:
-        raise FleetConfigError(str(exc)) from exc
-
-
-def _outages(obj, path: str) -> tuple[OutageModel, DegradeConfig | None]:
-    # Same re-labeling for the outage schema (repro.serving.degrade).
-    try:
-        return validate_outage_config(obj, path)
-    except OutageConfigError as exc:
-        raise FleetConfigError(str(exc)) from exc
-
-
 def _endpoint(obj, path: str) -> EndpointConfig:
-    if not isinstance(obj, dict):
-        _fail(path, f"must be an object, got {type(obj).__name__}")
+    _object(obj, path)
     _check_keys(obj, _ENDPOINT_KEYS, path)
     name = obj.get("name")
     if not isinstance(name, str) or not name:
@@ -293,7 +229,8 @@ def _endpoint(obj, path: str) -> EndpointConfig:
                          minimum=0.0)
     outages = degrade = None
     if obj.get("outages") is not None:
-        outages, degrade = _outages(obj["outages"], f"{path}.outages")
+        outages, degrade = validate_outage_config(obj["outages"],
+                                                  f"{path}.outages")
         if not outages.enabled:
             outages = None
     return EndpointConfig(
@@ -319,7 +256,8 @@ def _endpoint(obj, path: str) -> EndpointConfig:
             if obj.get("prewarm") is not None else None
         ),
         generation=(
-            _generation(obj["generation"], f"{path}.generation")
+            validate_generation_config(obj["generation"],
+                                       f"{path}.generation")
             if obj.get("generation") is not None else None
         ),
         priority=_integer(obj, "priority", path, default=0),
@@ -356,9 +294,7 @@ def validate_fleet_config(doc) -> FleetConfig:
     scheduler_interval = None
     scheduler_min_history = 32
     if "scheduler" in doc and doc["scheduler"] is not None:
-        sched = doc["scheduler"]
-        if not isinstance(sched, dict):
-            _fail("scheduler", f"must be an object, got {type(sched).__name__}")
+        sched = _object(doc["scheduler"], "scheduler")
         _check_keys(sched, _SCHEDULER_KEYS, "scheduler")
         scheduler_interval = _number(sched, "interval_s", "scheduler",
                                      required=True, minimum=0.0, strict=True)
@@ -366,11 +302,7 @@ def validate_fleet_config(doc) -> FleetConfig:
                                          default=32, minimum=1)
     brownout = failover = None
     if doc.get("degrade") is not None:
-        try:
-            brownout, failover = validate_fleet_degrade(doc["degrade"],
-                                                        "degrade")
-        except OutageConfigError as exc:
-            raise FleetConfigError(str(exc)) from exc
+        brownout, failover = validate_fleet_degrade(doc["degrade"], "degrade")
     return FleetConfig(
         endpoints=endpoints,
         max_containers=_integer(doc, "max_containers", "fleet config",
@@ -391,13 +323,4 @@ def load_fleet_config(path: str | os.PathLike) -> FleetConfig:
     message on any problem — unreadable file, invalid JSON, or a schema
     violation.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise FleetConfigError(f"cannot read {os.fspath(path)}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FleetConfigError(
-            f"{os.fspath(path)} is not valid JSON: {exc}"
-        ) from exc
-    return validate_fleet_config(doc)
+    return validate_fleet_config(load_json_config(path))

@@ -7,11 +7,12 @@ coefficients. The same object appears in two places:
 
 * ``repro serve --generation gen.json`` — the whole file is the object;
 * a fleet document's per-endpoint ``"generation": {...}`` entry
-  (:mod:`repro.serving.fleet_config` delegates here and re-labels the
-  error as a :class:`~repro.serving.fleet_config.FleetConfigError`).
+  (:mod:`repro.serving.fleet_config` delegates here).
 
-Validation follows the fleet-config house style: every violation raises
-:class:`GenerationConfigError` naming the *path* of the offending field
+Validation uses the shared schema helpers of :mod:`repro.utils.validation`:
+every violation raises :class:`GenerationConfigError` (an alias of
+:class:`~repro.utils.validation.ConfigError`) naming the *path* of the
+offending field
 (``generation.length_model.output_mean: must be >= 1``), unknown keys are
 rejected, and the CLI converts the error into ``exit 2``.
 
@@ -37,12 +38,19 @@ Example::
 
 from __future__ import annotations
 
-import json
-import math
 import os
 
 from repro.serverless.generation import TokenLengthModel, TokenServiceProfile
 from repro.serving.config import GENERATION_DISPATCHERS, GenerationConfig
+from repro.utils.validation import (
+    ConfigError,
+    _check_keys,
+    _fail,
+    _integer,
+    _number,
+    _object,
+    load_json_config,
+)
 
 __all__ = [
     "GenerationConfigError",
@@ -51,8 +59,8 @@ __all__ = [
 ]
 
 
-class GenerationConfigError(ValueError):
-    """A generation config failed validation; the message names the path."""
+#: A generation config failed validation; the message names the path.
+GenerationConfigError = ConfigError
 
 
 _GENERATION_KEYS = {
@@ -63,56 +71,8 @@ _LENGTH_KEYS = {"prompt_mean", "prompt_max", "output_mean", "output_max"}
 _PROFILE_KEYS = {"decode_time", "decode_exponent", "decode_memory_dampening"}
 
 
-def _fail(path: str, message: str) -> None:
-    raise GenerationConfigError(f"{path}: {message}")
-
-
-def _check_keys(obj: dict, allowed: set, path: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        _fail(path, f"unknown keys {unknown} (allowed: {sorted(allowed)})")
-
-
-def _number(obj: dict, key: str, path: str, default=None, *,
-            minimum: float | None = None, maximum: float | None = None,
-            strict: bool = False, nullable: bool = False):
-    if key not in obj:
-        return default
-    v = obj[key]
-    if v is None and nullable:
-        return None
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(f"{path}.{key}", f"must be a number, got {v!r}")
-    v = float(v)
-    if not math.isfinite(v):
-        _fail(f"{path}.{key}", f"must be finite, got {v!r}")
-    if minimum is not None:
-        if strict and not v > minimum:
-            _fail(f"{path}.{key}", f"must be > {minimum:g}, got {v:g}")
-        if not strict and not v >= minimum:
-            _fail(f"{path}.{key}", f"must be >= {minimum:g}, got {v:g}")
-    if maximum is not None and v > maximum:
-        _fail(f"{path}.{key}", f"must be <= {maximum:g}, got {v:g}")
-    return v
-
-
-def _integer(obj: dict, key: str, path: str, default=None, *,
-             minimum: int | None = None, nullable: bool = False):
-    if key not in obj:
-        return default
-    v = obj[key]
-    if v is None and nullable:
-        return None
-    if isinstance(v, bool) or not isinstance(v, int):
-        _fail(f"{path}.{key}", f"must be an integer, got {v!r}")
-    if minimum is not None and v < minimum:
-        _fail(f"{path}.{key}", f"must be >= {minimum}, got {v}")
-    return v
-
-
 def _length_model(obj, path: str) -> TokenLengthModel:
-    if not isinstance(obj, dict):
-        _fail(path, f"must be an object, got {type(obj).__name__}")
+    _object(obj, path)
     _check_keys(obj, _LENGTH_KEYS, path)
     prompt_mean = _number(obj, "prompt_mean", path, default=128.0, minimum=1.0)
     prompt_max = _integer(obj, "prompt_max", path, default=4096, minimum=1)
@@ -131,8 +91,7 @@ def _length_model(obj, path: str) -> TokenLengthModel:
 
 
 def _profile(obj, path: str) -> TokenServiceProfile:
-    if not isinstance(obj, dict):
-        _fail(path, f"must be an object, got {type(obj).__name__}")
+    _object(obj, path)
     _check_keys(obj, _PROFILE_KEYS, path)
     return TokenServiceProfile(
         decode_time=_number(obj, "decode_time", path, default=0.002,
@@ -190,15 +149,4 @@ def load_generation_config(path: str | os.PathLike) -> GenerationConfig:
     path-qualified message on any problem — unreadable file, invalid
     JSON, or a schema violation.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise GenerationConfigError(
-            f"cannot read {os.fspath(path)}: {exc}"
-        ) from exc
-    except json.JSONDecodeError as exc:
-        raise GenerationConfigError(
-            f"{os.fspath(path)} is not valid JSON: {exc}"
-        ) from exc
-    return validate_generation_config(doc)
+    return validate_generation_config(load_json_config(path))

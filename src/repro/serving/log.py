@@ -10,6 +10,9 @@ controller took and the runtime counters the offline harness cannot express
 returns a genuine :class:`~repro.evaluation.harness.ExperimentLog`, so the
 whole of :mod:`repro.evaluation` — VCR series, cost series, comparison
 tables, plots — scores live runs and offline replays through one interface.
+
+The log is the run's only tally: :func:`publish_telemetry` derives the
+``serving.*`` telemetry from a finished log (or a :class:`FleetLog`).
 """
 
 from __future__ import annotations
@@ -29,18 +32,23 @@ from repro.evaluation.metrics import (
 )
 
 
+#: ``ServingLog.batch_kinds`` codes — how a batch row ran. The first three
+#: are also the engine's execution modes: a primary dispatch, a batch
+#: failed over to a donor lane's container, a hedge duplicate. A primary
+#: whose container crashed mid-run is ``CRASHED``; a continuous-batching
+#: session's whole container hold is one ``SESSION`` row.
+PRIMARY, FAILOVER, HEDGE, CRASHED, SESSION = range(5)
+
+
 class BatchColumns:
     """Chunked struct-of-arrays accumulator for the per-batch record.
 
     The serving engine appends one row per executed batch (dispatch, start,
-    size, cost, cold, memory, retries). Growing seven Python lists and
+    size, cost, cold, memory, retries, kind, end). Growing Python lists and
     converting them with ``np.asarray`` at the end of a run boxes every
     scalar twice; this accumulator writes straight into preallocated numpy
     chunks of ``chunk_rows`` rows and concatenates the chunks once in
-    :meth:`arrays`. The object pickles (checkpoint snapshots carry it), and
-    :meth:`arrays` produces dtypes identical to the historical
-    ``np.asarray`` conversion, so :class:`ServingLog` contents are
-    bit-identical to the list-backed build.
+    :meth:`arrays`. The object pickles (checkpoint snapshots carry it).
     """
 
     chunk_rows = 1024
@@ -59,18 +67,21 @@ class BatchColumns:
         self._cold = np.empty(rows, dtype=bool)
         self._memory = np.empty(rows)
         self._retries = np.empty(rows, dtype=int)
+        self._kind = np.empty(rows, dtype=np.int8)
+        self._end = np.empty(rows)
         self._fill = 0
 
     def _chunk(self, rows: int) -> tuple[np.ndarray, ...]:
         return (self._dispatch[:rows], self._start[:rows], self._size[:rows],
                 self._cost[:rows], self._cold[:rows], self._memory[:rows],
-                self._retries[:rows])
+                self._retries[:rows], self._kind[:rows], self._end[:rows])
 
     def __len__(self) -> int:
         return self._count
 
     def append(self, dispatch: float, start: float, size: int, cost: float,
-               cold: bool, memory: float, retries: int) -> None:
+               cold: bool, memory: float, retries: int, kind: int,
+               end: float) -> None:
         i = self._fill
         if i == self.chunk_rows:
             self._full.append(self._chunk(self.chunk_rows))
@@ -83,21 +94,19 @@ class BatchColumns:
         self._cold[i] = cold
         self._memory[i] = memory
         self._retries[i] = retries
+        self._kind[i] = kind
+        self._end[i] = end
         self._fill = i + 1
         self._count += 1
 
     def arrays(self) -> tuple[np.ndarray, ...]:
-        """``(dispatch, start, sizes, costs, cold, memory, retries)`` as
-        freshly-owned arrays (float, float, int, float, bool, float, int)."""
+        """``(dispatch, start, sizes, costs, cold, memory, retries, kinds,
+        ends)`` as freshly-owned arrays (float, float, int, float, bool,
+        float, int, int8, float)."""
         chunks = list(self._full)
-        if self._fill:
-            chunks.append(self._chunk(self._fill))
-        if not chunks:
-            return (np.empty(0), np.empty(0), np.empty(0, dtype=int),
-                    np.empty(0), np.empty(0, dtype=bool), np.empty(0),
-                    np.empty(0, dtype=int))
+        chunks.append(self._chunk(self._fill))
         return tuple(
-            np.concatenate([chunk[k] for chunk in chunks]) for k in range(7)
+            np.concatenate([chunk[k] for chunk in chunks]) for k in range(9)
         )
 
 
@@ -140,6 +149,13 @@ class ServingLog:
     batch_cold: np.ndarray
     batch_memory: np.ndarray
     batch_retries: np.ndarray = field(default_factory=lambda: np.empty(0, int))
+    #: How each row ran (``PRIMARY`` … ``SESSION``) and when its container
+    #: hold ended: the completion, the crash, or the session's last step.
+    batch_kinds: np.ndarray = field(
+        default_factory=lambda: np.empty(0, np.int8))
+    end_times: np.ndarray = field(default_factory=lambda: np.empty(0))
+    #: Cold-start delay of this lane's pool per memory tier it cold-started.
+    cold_delays: dict[float, float] = field(default_factory=dict)
     # Control plane.
     decisions: list[ServingDecision] = field(default_factory=list)
     reconfigurations: int = 0
@@ -147,6 +163,10 @@ class ServingLog:
     prediction_drift_triggers: int = 0
     retrains: int = 0
     shed_batches: int = 0
+    #: Batches parked in the admission queue for lack of a container.
+    queued_batches: int = 0
+    #: Decisions whose chooser raised (the active configuration stayed).
+    decision_errors: int = 0
     # Pool scorecard.
     cold_starts: int = 0
     warm_starts: int = 0
@@ -382,3 +402,138 @@ class ServingLog:
                 degraded_decisions=sum(1 for d in decisions if d.degraded),
             ))
         return log
+
+
+@dataclass
+class FleetLog:
+    """Per-endpoint :class:`ServingLog`\\ s plus fleet-level aggregates."""
+
+    name: str
+    logs: dict[str, ServingLog]
+    fleet_decisions: int = 0
+    max_containers: int | None = None
+
+    def __getitem__(self, endpoint: str) -> ServingLog:
+        return self.logs[endpoint]
+
+    @property
+    def endpoints(self) -> list[str]:
+        return list(self.logs)
+
+    @property
+    def n_requests(self) -> int:
+        return sum(log.n_requests for log in self.logs.values())
+
+    @property
+    def n_served(self) -> int:
+        return sum(log.n_served for log in self.logs.values())
+
+    @property
+    def n_shed(self) -> int:
+        return sum(log.n_shed for log in self.logs.values())
+
+    @property
+    def total_cost(self) -> float:
+        return float(sum(log.total_cost for log in self.logs.values()))
+
+    @property
+    def cost_per_request(self) -> float:
+        served = self.n_served
+        return self.total_cost / served if served else float("nan")
+
+
+# ---------------------------------------------------------------- telemetry
+def publish_telemetry(log: ServingLog | FleetLog, registry,
+                      prefix: str = "serving") -> None:
+    """Add one finished run's counters and histograms to ``registry``.
+
+    A :class:`ServingLog` becomes the ``<prefix>.*`` instruments; a
+    :class:`FleetLog` publishes each lane under ``<prefix>.<endpoint>``
+    plus ``fleet.scheduler_plans``. The unprefixed ``guardrail.*`` and
+    ``checkpoint.snapshots`` counters sum across lanes. Values are added
+    (``inc``/``observe_many``), so several runs into one registry add up;
+    a counter is published only when nonzero and a histogram only with
+    observations, so each dashboard section appears exactly when its
+    feature ran.
+    """
+    if isinstance(log, FleetLog):
+        for endpoint, lane in log.logs.items():
+            publish_telemetry(lane, registry, f"{prefix}.{endpoint}")
+        counters = {"fleet.scheduler_plans": log.fleet_decisions}
+        histograms = {}
+    else:
+        counters, histograms = _instruments(log, prefix)
+    for name, value in counters.items():
+        if value:
+            registry.counter(name).inc(value)
+    for name, values in histograms.items():
+        if values.size:
+            registry.histogram(name).observe_many(values)
+
+
+def _instruments(log: ServingLog, p: str) -> tuple[dict, dict]:
+    """``({counter: value}, {histogram: observations})`` of one lane."""
+    kinds = log.batch_kinds
+    cold = log.batch_cold
+    # Cold starts on this lane's own pool: primaries (crashed ones
+    # included) and sessions; failover and hedge rows are not admissions.
+    own_cold = cold & (kinds != FAILOVER) & (kinds != HEDGE)
+    counters = {
+        f"{p}.requests": log.n_requests,
+        f"{p}.batches": int(kinds.size),
+        # Batch rows started cold/warm — not ``log.cold_starts``, which
+        # counts this pool's provisioning (failover rows run elsewhere).
+        f"{p}.cold_starts": int(cold.sum()),
+        f"{p}.warm_starts": int(cold.size - cold.sum()),
+        f"{p}.queued_batches": log.queued_batches,
+        f"{p}.shed_requests": log.n_shed - log.brownout_shed,
+        f"{p}.shed_batches": log.shed_batches,
+        f"{p}.decisions": sum(d.reason != "guardrail" for d in log.decisions),
+        f"{p}.decision_errors": log.decision_errors,
+        f"{p}.reconfigurations": log.reconfigurations,
+        f"{p}.drift_triggers": log.drift_triggers,
+        f"{p}.prediction_drift_triggers": log.prediction_drift_triggers,
+        f"{p}.retrains": log.retrains,
+        f"{p}.prewarm.ticks": log.prewarm_ticks,
+        f"{p}.prewarm.provisioned": log.prewarmed_containers,
+        f"{p}.prewarm.cost": log.prewarm_cost,
+        f"{p}.prewarm.retired": log.prewarm_retired,
+        f"{p}.outage.crashes": log.crashed_containers,
+        f"{p}.outage.crash_requeued": log.crash_requeued,
+        f"{p}.outage.straggler_batches": log.straggler_batches,
+        f"{p}.degrade.cold_retries": log.cold_retries,
+        f"{p}.degrade.retry_exhausted": log.cold_retry_exhausted,
+        f"{p}.degrade.hedges": log.hedges,
+        f"{p}.degrade.hedge_wins": log.hedge_wins,
+        f"{p}.degrade.hedge_cost": log.hedge_cost,
+        f"{p}.degrade.hedge_denied": log.hedge_denied,
+        f"{p}.degrade.failover": log.failover_batches,
+        f"{p}.degrade.brownout_shed": log.brownout_shed,
+        "guardrail.tripped": log.guardrail_trips,
+        "guardrail.probe": log.guardrail_probes,
+        "guardrail.restored": log.guardrail_restores,
+        "guardrail.suppressed_decisions": log.guardrail_suppressed,
+        "checkpoint.snapshots": log.checkpoints,
+    }
+    histograms = {
+        f"{p}.latency": log.served_latencies(),
+        f"{p}.queue_delay": (log.start_times
+                             - log.dispatch_times)[kinds == PRIMARY],
+        f"{p}.cold_delay": np.array(
+            [log.cold_delays[m] for m in log.batch_memory[own_cold]]),
+    }
+    if log.is_generation:
+        counters.update({
+            # Admitted requests: continuous mode counts every arrival
+            # (its sheds included), buffer mode every executed request.
+            f"{p}.gen.requests": log.n_served + log.gen_shed,
+            f"{p}.gen.shed": log.gen_shed,
+            f"{p}.gen.sessions": log.gen_sessions,
+            f"{p}.gen.tokens": log.gen_tokens,
+            f"{p}.gen.prefill_iterations": log.gen_prefill_iterations,
+            f"{p}.gen.decode_iterations": log.gen_decode_iterations,
+        })
+        histograms[f"{p}.ttft"] = log.ttft[~log.shed]
+        histograms[f"{p}.gen.session_seconds"] = (
+            log.end_times - log.start_times)[kinds == SESSION]
+    return counters, histograms

@@ -6,6 +6,10 @@ negative rates propagate into simulations or training.
 
 from __future__ import annotations
 
+import json
+import math
+import os
+
 import numpy as np
 
 
@@ -47,3 +51,85 @@ def check_sorted(x: np.ndarray, name: str = "array", strict: bool = False) -> np
     if not strict and np.any(d < 0):
         raise ValueError(f"{name} must be sorted in non-decreasing order")
     return x
+
+
+# ------------------------------------------------------ JSON config schemas
+# Shared by the generation, outage and fleet loaders: every violation raises
+# ConfigError naming the field's path, e.g. ``endpoints[1].slo: ...``.
+class ConfigError(ValueError):
+    """A config document failed validation; the message names the path."""
+
+
+def load_json_config(path: str | os.PathLike):
+    """Parse a JSON config file; an unreadable file or invalid JSON raises
+    :class:`ConfigError` naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {os.fspath(path)}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"{os.fspath(path)} is not valid JSON: {exc}"
+        ) from exc
+
+
+def _fail(path: str, message: str) -> None:
+    raise ConfigError(f"{path}: {message}")
+
+
+def _check_keys(obj: dict, allowed: set, path: str) -> None:
+    unknown = sorted(set(obj) - allowed)
+    if unknown:
+        _fail(path, f"unknown keys {unknown} (allowed: {sorted(allowed)})")
+
+
+def _object(obj, path: str) -> dict:
+    if not isinstance(obj, dict):
+        _fail(path, f"must be an object, got {type(obj).__name__}")
+    return obj
+
+
+def _number(obj: dict, key: str, path: str, default=None, *,
+            required: bool = False, minimum: float | None = None,
+            maximum: float | None = None, strict: bool = False,
+            nullable: bool = False):
+    """``obj[key]`` as a finite float (``strict``: ``> minimum``)."""
+    if key not in obj:
+        if required:
+            _fail(f"{path}.{key}", "is required")
+        return default
+    v = obj[key]
+    if v is None and nullable:
+        return None
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        _fail(f"{path}.{key}", f"must be a number, got {v!r}")
+    v = float(v)
+    if not math.isfinite(v):
+        _fail(f"{path}.{key}", f"must be finite, got {v!r}")
+    if minimum is not None:
+        if strict and not v > minimum:
+            _fail(f"{path}.{key}", f"must be > {minimum:g}, got {v:g}")
+        if not strict and not v >= minimum:
+            _fail(f"{path}.{key}", f"must be >= {minimum:g}, got {v:g}")
+    if maximum is not None and v > maximum:
+        _fail(f"{path}.{key}", f"must be <= {maximum:g}, got {v:g}")
+    return v
+
+
+def _integer(obj: dict, key: str, path: str, default=None, *,
+             required: bool = False, minimum: int | None = None,
+             nullable: bool = False):
+    """``obj[key]`` as an int (booleans rejected)."""
+    if key not in obj:
+        if required:
+            _fail(f"{path}.{key}", "is required")
+        return default
+    v = obj[key]
+    if v is None and nullable:
+        return None
+    if isinstance(v, bool) or not isinstance(v, int):
+        _fail(f"{path}.{key}", f"must be an integer, got {v!r}")
+    if minimum is not None and v < minimum:
+        _fail(f"{path}.{key}", f"must be >= {minimum}, got {v}")
+    return v

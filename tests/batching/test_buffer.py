@@ -1,6 +1,8 @@
 """Tests for the online batching buffer, including cross-checks against
 the vectorized simulator (they implement the same (B, T) policy)."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,6 +82,16 @@ class TestOnlineBuffer:
             all_batches.extend(buf.observe(t))
         idx = np.concatenate([b.indices for b in all_batches])
         np.testing.assert_allclose(idx, [0, 1, 2, 3])
+
+    def test_state_stays_bounded_over_a_long_stream(self):
+        # The buffer is pickled into every serving snapshot: it must hold
+        # only its pending requests, never the batches it already released.
+        buf = BatchingBuffer(BatchConfig(1024.0, 8, 0.05))
+        released = 0
+        for t in np.arange(10_000) * 1e-3:
+            released += sum(b.size for b in buf.observe(float(t)))
+        assert released >= 9_990
+        assert len(pickle.dumps(buf)) < 4096
 
 
 class TestBufferMatchesSimulator:

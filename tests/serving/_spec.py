@@ -22,10 +22,24 @@ it:
   the ``n_failed`` counter high (the log derives ``n_failed`` from the
   ``failed`` mask, so only the first shows in a ``ServingLog``).
 
-The method bodies are the originals. The class scaffolding supplies what
-they read that the engine no longer has: the ``drift_check_every`` and
-``_degrade_mode`` attributes, the ``n_failed`` run-state counter, and
-``_on_retrain``/``_on_prewarm`` callable without a payload.
+  The spec also keeps the engine's earlier second tally: per-event
+  ``registry.counter``/``registry.histogram`` calls, in its data plane and
+  in the handlers the data-plane cells reach (``_on_crash``,
+  ``_enqueue_or_shed``, ``_inject_decision``, ``_on_decision``,
+  ``_on_reconfigure``, and the fleet's ``_brownout_pass``). The engine now
+  publishes its telemetry once, from the finished log
+  (:func:`repro.serving.log.publish_telemetry`); the spec engines switch
+  that publication off, so their registry holds only the per-event tally
+  it is compared against. Two counters of that tally disagree with the
+  log by design: ``outage.straggler_batches`` skips crashed stragglers,
+  and a generation-buffer run never counts prefill/decode iterations.
+
+The method bodies are the originals, plus the per-batch row kind and end
+time and the ``queued_batches``/``decision_errors`` counters that the log
+now carries. The class scaffolding supplies what they read that the engine
+no longer has: the ``drift_check_every`` and ``_degrade_mode`` attributes,
+the ``n_failed`` run-state counter, and ``_on_retrain``/``_on_prewarm``
+callable without a payload.
 """
 
 from __future__ import annotations
@@ -37,7 +51,9 @@ from unittest import mock
 import numpy as np
 
 from repro.batching.buffer import Batch
+from repro.batching.config import BatchConfig
 from repro.serverless.faults import inject_faults
+from repro.serving import engine as engine_module
 from repro.serving import fleet as fleet_module
 from repro.serving.engine import (
     _INF,
@@ -58,13 +74,28 @@ from repro.serving.engine import (
     _P_CRASH,
     _P_DECISION,
     _P_HEDGE,
+    _P_RECONFIGURE,
     _P_TIMER,
     ServingEngine,
     _RunContext,
     _RunState,
 )
 from repro.serving.fleet import FleetEngine, _LaneEngine
+from repro.serving.guardrail import OPEN
+from repro.serving.log import (
+    CRASHED,
+    FAILOVER,
+    HEDGE,
+    PRIMARY,
+    ServingDecision,
+)
 from repro.serving.pool import Lease, WarmPool, _Container
+from repro.telemetry.events import ReconfigureEvent, ShedEvent
+
+
+def _no_publish(*args, **kwargs) -> None:
+    """Stands in for ``publish_telemetry`` in the spec engines, so their
+    registry holds only the per-event tally."""
 
 
 # --------------------------------------------------------------- warm pool
@@ -456,7 +487,7 @@ class SpecDataPlane:
         # static-config equivalence is bitwise, not merely close.
         completion = start + cold_delay + service + fault_delay
         st.batches.append(batch.dispatch_time, start, size, cost, cold,
-                          memory_mb, retries)
+                          memory_mb, retries, PRIMARY, completion)
         if retries:
             st.counters["n_retries"] += retries
         i0 = batch.first_index
@@ -548,7 +579,7 @@ class SpecDataPlane:
                     memory_mb, crash_time - start
                 ))
                 st.batches.append(batch.dispatch_time, start, size, partial,
-                                  cold, memory_mb, 0)
+                                  cold, memory_mb, 0, CRASHED, crash_time)
                 self._push(st, crash_time, _P_CRASH, _K_CRASH,
                            (container_id, batch))
                 if registry.enabled:
@@ -563,7 +594,7 @@ class SpecDataPlane:
                                          cold, memory_mb, completion))
                 return
         st.batches.append(batch.dispatch_time, start, size, cost, cold,
-                          memory_mb, retries)
+                          memory_mb, retries, PRIMARY, completion)
         if retries:
             st.counters["n_retries"] += retries
         i0 = batch.first_index
@@ -650,7 +681,7 @@ class SpecDataPlane:
             batch_failed = False
         completion = now + cold_delay + eff_service + fault_delay
         st.batches.append(batch.dispatch_time, now, size, cost, lease.cold,
-                          memory_mb, retries)
+                          memory_mb, retries, FAILOVER, completion)
         if retries:
             st.counters["n_retries"] += retries
         i0 = batch.first_index
@@ -761,7 +792,7 @@ class SpecDataPlane:
             memory_mb, duration
         ))
         st.batches.append(batch.dispatch_time, now, size, cost, lease.cold,
-                          memory_mb, 0)
+                          memory_mb, 0, HEDGE, dup_completion)
         st.counters["hedges"] += 1
         st.counters["hedge_cost"] += cost
         i0 = batch.first_index
@@ -825,7 +856,7 @@ class SpecDataPlane:
         completion = start + duration
         cost = float(self.platform.pricing.invocation_cost(memory_mb, duration))
         st.batches.append(batch.dispatch_time, start, size, cost, cold,
-                          memory_mb, 0)
+                          memory_mb, 0, PRIMARY, completion)
         first_token = start + cold_delay + ttft
         st.ttft[i0:stop] = first_token - batch.arrival_times
         st.latencies[i0:stop] = (
@@ -947,8 +978,164 @@ class SpecDataPlane:
                 self._on_guardrail_action(st, ctx, now, action, observed)
 
 
+    def _on_crash(self, st: _RunState, ctx: _RunContext, now: float,
+                  payload) -> None:
+        """A container died mid-batch: it leaves the pool immediately
+        (freeing any fleet-shared budget), and the batch re-enters the
+        dispatch path — a fresh batch row, hence fresh fault/crash draws."""
+        container_id, batch = payload
+        st.inflight.pop(container_id, None)
+        st.pool.kill(container_id)
+        st.counters["crashed_containers"] += 1
+        st.counters["crash_requeued"] += batch.size
+        registry = ctx.registry
+        if registry.enabled:
+            prefix = self.metrics_prefix
+            registry.counter(f"{prefix}.outage.crashes").inc()
+            registry.counter(f"{prefix}.outage.crash_requeued").inc(
+                batch.size
+            )
+        if st.trace is not None or ctx.journal is not None:
+            self._emit(st, ctx, ("crash", now, container_id, batch.size))
+        self._dispatch(st, ctx, batch, now)
+
+
+    def _enqueue_or_shed(self, st: _RunState, ctx: _RunContext, batch: Batch,
+                         now: float) -> None:
+        """No capacity (and no retry budget left): queue, or shed at the
+        queue cap. The tail of the historical ``_dispatch``, split out so
+        the cold-retry path can fall back to it after exhaustion."""
+        registry = ctx.registry
+        limit = self.pool_config.max_queued_batches
+        if limit is not None and len(st.queue) >= limit:
+            st.shed[batch.first_index:batch.first_index + batch.size] = True
+            st.counters["shed_batches"] += 1
+            if registry.enabled:
+                registry.counter(f"{self.metrics_prefix}.shed_requests").inc(batch.size)
+                registry.counter(f"{self.metrics_prefix}.shed_batches").inc()
+                registry.record_event(ShedEvent(
+                    time=now, requests=batch.size,
+                    queued_batches=len(st.queue),
+                ))
+            if st.trace is not None or ctx.journal is not None:
+                self._emit(st, ctx, ("shed", now, batch.size))
+            return
+        st.queue.append(batch)
+        st.counters["queued_batches"] += 1
+        if registry.enabled:
+            registry.counter(f"{self.metrics_prefix}.queued_batches").inc()
+        if st.trace is not None or ctx.journal is not None:
+            self._emit(st, ctx, ("queued", now, batch.size))
+
+
+    def _inject_decision(self, st: _RunState, ctx: _RunContext, now: float,
+                         config: BatchConfig, reason: str,
+                         decision_time: float = 0.0,
+                         predicted_p95: float | None = None,
+                         degraded: bool = False) -> None:
+        registry = ctx.registry
+        record = ServingDecision(
+            time=now,
+            reason=reason,
+            config=config,
+            decision_time=float(decision_time),
+            degraded=degraded,
+            predicted_p95=predicted_p95,
+        )
+        st.decisions.append(record)
+        if registry.enabled:
+            registry.counter(f"{self.metrics_prefix}.decisions").inc()
+        self._emit(st, ctx, ("decision", now, reason, str(config)))
+        if config != st.target:
+            st.target = config
+            st.reconfig_gen += 1
+            self._push(st, now + self.deploy_delay_s, _P_RECONFIGURE,
+                       _K_RECONFIGURE, (st.reconfig_gen, record, now, reason))
+
+
+    def _on_decision(self, st: _RunState, ctx: _RunContext, now: float,
+                     reason: str) -> None:
+        registry = ctx.registry
+        if self.chooser is None:
+            return
+        suppressed = st.guardrail is not None and st.guardrail.state == OPEN
+        hist = np.diff(self._recent_ts(st))
+        if suppressed:
+            # The breaker is open: the fallback configuration stays pinned
+            # and the learned controller does not get to reconfigure until
+            # the half-open probe re-admits it.
+            st.counters["guardrail_suppressed"] += 1
+            if registry.enabled:
+                registry.counter("guardrail.suppressed_decisions").inc()
+            self._emit(st, ctx, ("decision_suppressed", now, reason))
+        elif hist.size >= self.min_history:
+            try:
+                decision = self.chooser.choose(hist, self.slo)
+            except Exception:
+                # Live serving must survive a controller crash with no
+                # fallback decision; keep the active configuration.
+                st.counters["decision_errors"] += 1
+                if registry.enabled:
+                    registry.counter(f"{self.metrics_prefix}.decision_errors").inc()
+                self._emit(st, ctx, ("decision_error", now, reason))
+                decision = None
+            if decision is not None:
+                self._inject_decision(
+                    st, ctx, now, decision.config, reason,
+                    decision_time=float(decision.decision_time),
+                    predicted_p95=self._extract_predicted_p95(decision),
+                    degraded=decision.degraded,
+                )
+        if (
+            reason == "interval"
+            and self.decision_interval_s is not None
+            and st.arrival_ptr < st.n
+        ):
+            self._push(st, now + self.decision_interval_s, _P_DECISION,
+                       _K_DECISION, "interval")
+
+
+    def _on_reconfigure(self, st: _RunState, ctx: _RunContext, now: float,
+                        payload) -> None:
+        gen, record, decided_at, reason = payload
+        if gen != st.reconfig_gen:  # superseded by a newer decision
+            return
+        old = st.active
+        released = st.buffer.reconfigure(record.config, now=now)
+        st.active = record.config
+        record.applied_at = now
+        st.counters["reconfigurations"] += 1
+        st.pred_p95 = record.predicted_p95
+        st.recent_latencies.clear()
+        registry = ctx.registry
+        if registry.enabled:
+            registry.counter(f"{self.metrics_prefix}.reconfigurations").inc()
+            registry.record_event(ReconfigureEvent(
+                time=now, reason=reason,
+                memory_mb=st.active.memory_mb,
+                batch_size=st.active.batch_size, timeout=st.active.timeout,
+                old_memory_mb=old.memory_mb,
+                old_batch_size=old.batch_size, old_timeout=old.timeout,
+                lag=now - decided_at,
+            ))
+        self._emit(st, ctx, ("reconfigure", now, str(st.active), reason))
+        for batch in released:
+            self._dispatch(st, ctx, batch, now)
+        self._arm_timer(st)
+
+
 class SpecEngine(SpecDataPlane, ServingEngine):
     """A single engine on the spec data plane."""
+
+    def run(self, *args, **kwargs):
+        with mock.patch.object(engine_module, "publish_telemetry",
+                               _no_publish):
+            return super().run(*args, **kwargs)
+
+    def restore(self, *args, **kwargs):
+        with mock.patch.object(engine_module, "publish_telemetry",
+                               _no_publish):
+            return super().restore(*args, **kwargs)
 
 
 class SpecLaneEngine(SpecDataPlane, _LaneEngine):
@@ -956,11 +1143,13 @@ class SpecLaneEngine(SpecDataPlane, _LaneEngine):
 
 
 class SpecFleetEngine(FleetEngine):
-    """A fleet whose lanes run the spec data plane, with the drain and
-    failover passes that routed into it."""
+    """A fleet whose lanes run the spec data plane, with the drain,
+    failover and brownout passes that routed into it."""
 
     def run(self, *args, **kwargs):
-        with mock.patch.object(fleet_module, "_LaneEngine", SpecLaneEngine):
+        with mock.patch.object(fleet_module, "_LaneEngine", SpecLaneEngine), \
+                mock.patch.object(fleet_module, "publish_telemetry",
+                                  _no_publish):
             return super().run(*args, **kwargs)
 
     @staticmethod
@@ -1033,4 +1222,43 @@ class SpecFleetEngine(FleetEngine):
                     changed.add(o)
                 if not o_st.queue:
                     break
+        return changed
+
+
+    def _brownout_pass(self, lanes, now: float) -> set[int]:
+        """Shed the fleet's backlog down to the brownout cap.
+
+        While the total queued-batch count exceeds ``max_total_queued``,
+        drop the *newest* queued batch (LIFO — the oldest waiters keep
+        their place) from the lowest-priority backlogged lane (ties:
+        later lane first). Shedding never changes a lane's event heap, so
+        the returned set only matters for bookkeeping symmetry.
+        """
+        cap = self.brownout.max_total_queued
+        total = sum(len(st.queue) for _eng, st, _ctx in lanes)
+        changed: set[int] = set()
+        while total > cap:
+            victim = max(
+                (i for i, (_eng, st, _ctx) in enumerate(lanes) if st.queue),
+                key=lambda i: (-self.endpoints[i].priority, i),
+            )
+            eng, st, ctx = lanes[victim]
+            batch = st.queue.pop()
+            i0 = batch.first_index
+            st.shed[i0:i0 + batch.size] = True
+            st.counters["brownout_shed"] += batch.size
+            registry = ctx.registry
+            if registry.enabled:
+                prefix = eng.metrics_prefix
+                registry.counter(f"{prefix}.degrade.brownout_shed").inc(
+                    batch.size
+                )
+                registry.record_event(ShedEvent(
+                    time=now, requests=batch.size,
+                    queued_batches=len(st.queue),
+                ))
+            if st.trace is not None or ctx.journal is not None:
+                eng._emit(st, ctx, ("brownout_shed", now, batch.size))
+            changed.add(victim)
+            total -= 1
         return changed

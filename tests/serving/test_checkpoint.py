@@ -170,8 +170,16 @@ class TestRestoreValidation:
         with pytest.raises(CheckpointError, match="unsupported format"):
             build_engine().restore(path)
 
-    @staticmethod
-    def _refuses_older_format(tmp_path, old: int) -> None:
+    # Why older layouts cannot be resumed. Format 1 run states carried a
+    # per-arrival window deque (format 2 derives the window from the served
+    # timestamps); format 2 created counters lazily and kept an
+    # ``n_failed`` counter (format 3 initializes every counter and derives
+    # ``n_failed`` from the failed mask); format 3 named counters apart from
+    # their log fields, wrote 7-column batch rows and kept every released
+    # batch in the buffer (format 4 names counters after the log, adds row
+    # kinds and end times, and keeps only pending requests).
+    @pytest.mark.parametrize("old", [1, 2, 3])
+    def test_older_format_snapshot_is_refused(self, tmp_path, old):
         ts = trace(n=400)
         ck = tmp_path / f"v{old}.ckpt"
         with pytest.raises(SimulatedCrash):
@@ -179,26 +187,14 @@ class TestRestoreValidation:
                                crash_after_events=100)
         with open(ck, "rb") as fh:
             payload = pickle.load(fh)
-        assert SNAPSHOT_FORMAT == 3 and payload["format"] == 3
+        assert SNAPSHOT_FORMAT == 4 and payload["format"] == 4
         payload["format"] = old
         with open(ck, "wb") as fh:
             pickle.dump(payload, fh)
         with pytest.raises(CheckpointError,
                            match=rf"unsupported format {old} "
-                                 r"\(this build reads format 3\)"):
+                                 r"\(this build reads format 4\)"):
             build_engine().restore(ck)
-
-    def test_format_1_snapshot_is_refused(self, tmp_path):
-        # Format 1 run states carried a per-arrival window deque; format 2
-        # derives the window from the served timestamps, so an older
-        # snapshot cannot be resumed and must say so.
-        self._refuses_older_format(tmp_path, 1)
-
-    def test_format_2_snapshot_is_refused(self, tmp_path):
-        # Format 2 run states created counters lazily and kept an
-        # ``n_failed`` counter; format 3 initializes every counter and
-        # derives ``n_failed`` from the failed mask.
-        self._refuses_older_format(tmp_path, 2)
 
     def test_corrupt_snapshot_is_a_clear_error(self, tmp_path):
         path = tmp_path / "torn.ckpt"

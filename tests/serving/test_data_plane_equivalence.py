@@ -6,8 +6,16 @@ Those bodies are kept verbatim in ``tests/serving/_spec.py``
 (:class:`SpecEngine`, :class:`SpecFleetEngine`). Every cell below runs the
 same workload on the production engine and on the spec, in the fast drive
 loop and in the stepwise loop with telemetry on, and requires every
-:class:`ServingLog` field — the event trace included — and every
-non-``perf`` telemetry record to be identical.
+:class:`ServingLog` field — the event trace included — to be identical.
+
+The spec counts telemetry per event; the engine publishes it once from the
+finished log. Their registries must agree on every non-``perf``
+instrument: counters and histogram counts, extremes and percentiles
+exactly (every cell stays inside the histogram reservoir, so percentiles
+see the same samples), histogram sums up to float summation order, and
+the telemetry events in order. The instruments in :data:`REDEFINED` are
+where the per-event tally disagreed with the log; they are checked against
+the log instead.
 
 The cells cover every stage of ``_execute`` and every event kind: plain
 and faulted batches, stragglers, crashes with and without faults, hedges,
@@ -148,23 +156,65 @@ def assert_logs_equal(a: ServingLog, b: ServingLog) -> None:
             assert x == y, f.name
 
 
-def telemetry(registry: MetricsRegistry) -> list:
-    """The registry's records without the wall-clock parts: the
-    ``*.perf.*`` stage timers and the events' emission offsets."""
-    out = []
+#: Instruments whose per-event count was wrong, by name suffix -> the
+#: ServingLog field they now publish: the spec's straggler counter skipped
+#: stragglers that crashed, and its generation-buffer path never counted
+#: prefill/decode iterations.
+REDEFINED = {
+    "outage.straggler_batches": "straggler_batches",
+    "gen.prefill_iterations": "gen_prefill_iterations",
+    "gen.decode_iterations": "gen_decode_iterations",
+}
+
+
+def telemetry(registry: MetricsRegistry) -> tuple[dict, list]:
+    """``({name: record}, [event records])`` without the wall-clock parts:
+    the ``*.perf.*`` stage timers and the events' emission offsets."""
+    instruments, events = {}, []
     for record in registry.records():
-        if ".perf." in record.get("name", ""):
-            continue
-        record.pop("t", None)
-        out.append(record)
-    return out
+        if "name" not in record:
+            record.pop("t", None)
+            events.append(record)
+        elif ".perf." not in record["name"]:
+            instruments[record["name"]] = record
+    return instruments, events
+
+
+def assert_telemetry_matches(new, spec, logs: dict) -> None:
+    """The published registry ``new`` against the spec's per-event
+    ``spec``; ``logs`` maps each metrics prefix to its lane's log."""
+    (new_inst, new_events), (spec_inst, spec_events) = new, spec
+    assert new_events == spec_events
+    redefined = {f"{prefix}.{suffix}": (log, field)
+                 for prefix, log in logs.items()
+                 for suffix, field in REDEFINED.items()}
+    for name, (log, field) in redefined.items():
+        spec_inst.pop(name, None)
+        value = getattr(log, field)
+        if value:
+            assert new_inst.pop(name)["value"] == value, name
+        else:
+            assert name not in new_inst, name
+    assert sorted(new_inst) == sorted(spec_inst)
+    published = tuple(f"{prefix}." for prefix in logs)
+    for name, record in new_inst.items():
+        want = spec_inst[name]
+        # The buffer's histograms are still observed per event, in the
+        # same order on both sides, so they match exactly.
+        if record["type"] == "histogram" and name.startswith(published):
+            assert record["count"] <= 4096, name
+            assert record["sum"] == pytest.approx(want["sum"], rel=1e-12)
+            record, want = dict(record), dict(want)
+            for key in ("sum", "mean"):
+                record.pop(key), want.pop(key)
+        assert record == want, name
 
 
 def run_both(run):
     """``run(spec)`` on the production (``spec=False``) and the spec
     data plane, telemetry off (a single engine takes the fast loop) and
-    on (the stepwise loop); returns the four logs and the two record
-    lists."""
+    on (the stepwise loop); returns the four logs and the two
+    :func:`telemetry` views."""
     logs, records = {}, {}
     for side, spec in (("new", False), ("spec", True)):
         logs[side, "fast"] = run(spec)
@@ -189,8 +239,9 @@ def test_engine_matches_spec(cell):
     for loop in ("fast", "step"):
         assert_logs_equal(logs["new", loop], logs["spec", loop])
     assert_logs_equal(logs["new", "fast"], logs["new", "step"])
-    assert records["new"] == records["spec"]
-    assert records["new"], "telemetry must record the stepwise run"
+    assert_telemetry_matches(records["new"], records["spec"],
+                             {"serving": logs["new", "step"]})
+    assert records["new"][0], "telemetry must record the stepwise run"
     for name in engaged:
         assert getattr(logs["new", "fast"], name) > 0, name
 
@@ -249,7 +300,10 @@ def test_fleet_outage_shape_matches_spec():
         for lane in ("gold", "bulk"):
             assert_logs_equal(logs["new", loop][lane],
                               logs["spec", loop][lane])
-    assert records["new"] == records["spec"]
+    assert_telemetry_matches(
+        records["new"], records["spec"],
+        {f"serving.{lane}": log
+         for lane, log in logs["new", "step"].items()})
     gold, bulk = logs["new", "fast"]["gold"], logs["new", "fast"]["bulk"]
     for name in ("hedges", "cold_retries", "crashed_containers",
                  "straggler_batches"):

@@ -57,8 +57,8 @@ from repro.serving import (
     validate_outage_config,
 )
 from repro.serving.checkpoint import CheckpointError
-from repro.serving.engine import _HEDGE, _PRIMARY
 from repro.serving.fleet import FleetBudget
+from repro.serving.log import HEDGE, PRIMARY
 from repro.serving.pool import WarmPool
 from repro.telemetry import MetricsRegistry, use_registry
 from tests.serving._spec import ReferenceWarmPool, ScanFleetEngine
@@ -453,11 +453,11 @@ class TestEngineDegrade:
         class Recording(ServingEngine):
             wins_over_faulted = 0
 
-            def _execute(self, st, ctx, batch, now, mode=_PRIMARY, **kw):
+            def _execute(self, st, ctx, batch, now, mode=PRIMARY, **kw):
                 was_failed = bool(st.failed[batch.first_index])
                 wins = st.counters["hedge_wins"]
                 started = super()._execute(st, ctx, batch, now, mode, **kw)
-                if (mode == _HEDGE and was_failed
+                if (mode == HEDGE and was_failed
                         and st.counters["hedge_wins"] > wins):
                     self.wins_over_faulted += 1
                 return started
