@@ -24,7 +24,8 @@ prewarm-overhead guard (PR 8) and a continuous-batching guard (PR 9):
   path fell off the fast drive loop.
 * **Outage** — a run passing disabled outage/degradation configs (PR 10)
   vs one passing none. Acceptance bar: bit-identical outputs and **≤ 10%
-  overhead** — the defaults-off fault layer must stay free.
+  overhead** — the defaults-off fault layer must stay free. The full
+  stack enabled must take **≤ 3×** the disabled run's time.
 * **Decision** — one DeepBAT ``choose()`` (window → surrogate forward over
   the candidate grid → SLO-aware search) on the graph-free ``infer`` path
   vs the Tensor-based inference spec in ``tests/core/_spec.py``, on a
@@ -282,14 +283,17 @@ def test_generation_throughput_floor():
 
 
 def test_outage_disabled_overhead_bounded():
-    """PR 10 guard: the defaults-off fault layer must cost nothing.
+    """The fault layer costs nothing when off and bounded time when on.
 
     Disabled outage/degradation configs are normalized to ``None`` at
     construction, so a run that passes them must stay on the exact same
     data plane as one that never heard of the feature — bit-identical
     outputs and at most measurement noise in wall-clock. A regression here
-    means a hot-path branch started keying off non-``None`` state. An
-    enabled full-stack run is also timed, informationally."""
+    means a hot-path branch started keying off non-``None`` state.
+
+    A full-stack run (outage window, crashes, stragglers, cold-start
+    backoff, hedging) is timed against the disabled run, best of five
+    interleaved pairs: it must take at most 3× as long."""
     from repro.serverless.faults import RetryPolicy
     from repro.serverless.outages import (
         CrashHazard, OutageModel, OutageWindow, StragglerModel,
@@ -322,9 +326,13 @@ def test_outage_disabled_overhead_bounded():
                             max_total_delay_s=2.0),
         hedge=HedgeConfig(percentile=95.0, multiplier=1.5),
     )
-    t0 = time.perf_counter()
-    full = run(enabled, stack)
-    enabled_s = time.perf_counter() - t0
+    (paired_disabled_s, _), (enabled_s, full) = _best_of_pair(
+        lambda: run(OutageModel(), DegradeConfig()),
+        lambda: run(enabled, stack),
+        repeats=5,
+    )
+    assert full.hedges > 0 and full.crashed_containers > 0
+    enabled_over_disabled = enabled_s / paired_disabled_s
 
     overhead = disabled_s / off_s - 1.0
     payload = {
@@ -335,6 +343,7 @@ def test_outage_disabled_overhead_bounded():
         "requests_per_sec_off": round(ts.size / off_s),
         "requests_per_sec_disabled": round(ts.size / disabled_s),
         "enabled_seconds": round(enabled_s, 4),
+        "enabled_over_disabled": round(enabled_over_disabled, 2),
         "enabled_events_per_sec": round(full.n_events / enabled_s),
         "enabled_crashes": int(full.crashed_containers),
         "enabled_hedges": int(full.hedges),
@@ -345,6 +354,11 @@ def test_outage_disabled_overhead_bounded():
     assert overhead <= 0.1, (
         f"disabled outage/degrade configs cost {100 * overhead:.0f}% of "
         "engine throughput — the defaults-off path is no longer free"
+    )
+    assert enabled_over_disabled <= 3.0, (
+        f"the full outage/degradation stack makes a run "
+        f"{enabled_over_disabled:.2f}x slower than the disabled one "
+        "(gate: 3x)"
     )
 
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.batching.config import BatchConfig
 from repro.telemetry.events import DispatchEvent
-from repro.telemetry.metrics import get_registry
 
 
 @dataclass(frozen=True)
@@ -160,14 +159,51 @@ class BatchingBuffer:
         )
         del self._pending_idx[:count]
         del self._pending_times[:count]
-        registry = get_registry()
-        if registry.enabled:
-            waits = batch.waits()
-            registry.histogram("buffer.batch_size").observe(batch.size)
-            registry.histogram("buffer.wait").observe_many(waits)
-            registry.record_event(DispatchEvent(
-                batch_size=batch.size,
-                dispatch_time=batch.dispatch_time,
-                max_wait=float(waits.max()) if batch.size else 0.0,
-            ))
         return batch
+
+
+class RecordingBuffer(BatchingBuffer):
+    """A :class:`BatchingBuffer` that also keeps each dispatch's time and
+    size — the serving engine's buffer, whose dispatch record reaches the
+    run's log and is published once, at the end of the run
+    (:func:`publish_dispatch_telemetry`), instead of per dispatch."""
+
+    def __init__(self, config: BatchConfig) -> None:
+        super().__init__(config)
+        self._dispatch_times: list[float] = []
+        self._dispatch_sizes: list[int] = []
+
+    def dispatches(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(dispatch_times, sizes)`` of every batch dispatched so far, in
+        dispatch order. Batches are contiguous index prefixes, so dispatch
+        ``k`` holds the requests from ``sizes[:k].sum()`` on."""
+        return (np.array(self._dispatch_times, dtype=float),
+                np.array(self._dispatch_sizes, dtype=int))
+
+    def _dispatch(self, dispatch_time: float, count: int | None = None) -> Batch:
+        batch = super()._dispatch(dispatch_time, count)
+        self._dispatch_times.append(batch.dispatch_time)
+        self._dispatch_sizes.append(batch.size)
+        return batch
+
+
+def publish_dispatch_telemetry(registry, dispatch_times: np.ndarray,
+                               sizes: np.ndarray,
+                               arrival_times: np.ndarray) -> None:
+    """Add a buffer's dispatches (:meth:`RecordingBuffer.dispatches`) to
+    ``registry``: the ``buffer.batch_size`` and ``buffer.wait`` histograms
+    and one :class:`DispatchEvent` per batch. ``arrival_times[i]`` is the
+    arrival of the buffer's ``i``-th request; each wait is its batch's
+    dispatch time minus its arrival, as :meth:`Batch.waits` computes it.
+    """
+    if not sizes.size:
+        return
+    waits = np.repeat(dispatch_times, sizes) - arrival_times[:sizes.sum()]
+    max_waits = np.maximum.reduceat(waits, np.cumsum(sizes) - sizes)
+    registry.histogram("buffer.batch_size").observe_many(sizes)
+    registry.histogram("buffer.wait").observe_many(waits)
+    for size, time, max_wait in zip(sizes.tolist(), dispatch_times.tolist(),
+                                    max_waits.tolist()):
+        registry.record_event(DispatchEvent(
+            batch_size=size, dispatch_time=time, max_wait=max_wait,
+        ))

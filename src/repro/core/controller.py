@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.arrival.window import latest_window
-from repro.batching.buffer import BatchingBuffer
+from repro.batching.buffer import BatchingBuffer, publish_dispatch_telemetry
 from repro.batching.config import BatchConfig, config_grid
 from repro.core.optimizer import OptimizationResult, SloAwareOptimizer
 from repro.core.parser import WorkloadParser
@@ -182,4 +182,10 @@ class DeepBATController:
                 batches.extend(buffer.flush(float(arrival_times[-1])))
         if registry.enabled:
             registry.counter("deepbat.served_requests").inc(arrival_times.size)
+            publish_dispatch_telemetry(
+                registry,
+                np.array([b.dispatch_time for b in batches], dtype=float),
+                np.array([b.size for b in batches], dtype=int),
+                arrival_times,
+            )
         return batches, decisions

@@ -47,7 +47,10 @@ from repro.utils.io import atomic_write
 #: Format 4: counters are named after their log fields (plus
 #: ``queued_batches``/``decision_errors``), batch rows carry a kind and an
 #: end time, and the buffer no longer keeps its released batches.
-SNAPSHOT_FORMAT = 4
+#: Format 5: the buffer keeps each dispatch's time and size (its telemetry
+#: is published from them at the end of the run), and the hedge window is
+#: a :class:`~repro.serving.degrade.HedgeWindow`, not a bare deque.
+SNAPSHOT_FORMAT = 5
 
 
 class CheckpointError(RuntimeError):

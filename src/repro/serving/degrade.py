@@ -48,7 +48,11 @@ Scheduled windows may be replaced by a sampled schedule::
 from __future__ import annotations
 
 import os
+from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.serverless.faults import RetryPolicy
 from repro.serverless.outages import (
@@ -73,6 +77,7 @@ __all__ = [
     "DegradeConfig",
     "FailoverConfig",
     "HedgeConfig",
+    "HedgeWindow",
     "OutageConfigError",
     "load_outage_config",
     "validate_fleet_degrade",
@@ -116,6 +121,54 @@ class HedgeConfig:
     def fingerprint(self) -> tuple:
         return (self.percentile, self.multiplier, self.min_observations,
                 self.window)
+
+
+class HedgeWindow:
+    """The last ``size`` batch durations a hedge judges against.
+
+    A FIFO ``deque`` evicts the oldest duration and a list kept sorted
+    with ``bisect`` mirrors it, so :meth:`percentile` reads two neighbours
+    instead of partitioning the window on every dispatch. Iterating (and
+    ``np.asarray``) yields the durations in arrival order, as the deque
+    this replaces did.
+    """
+
+    __slots__ = ("_fifo", "_sorted")
+
+    def __init__(self, size: int) -> None:
+        self._fifo: deque = deque(maxlen=size)
+        self._sorted: list[float] = []
+
+    def __len__(self) -> int:
+        return len(self._fifo)
+
+    def __iter__(self):
+        return iter(self._fifo)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self._fifo, dtype=dtype)
+
+    def append(self, value: float) -> None:
+        fifo, ordered = self._fifo, self._sorted
+        if len(fifo) == fifo.maxlen:
+            del ordered[bisect_left(ordered, fifo[0])]
+        fifo.append(value)
+        insort(ordered, value)
+
+    def percentile(self, q: float) -> float:
+        """``np.percentile(window, q)`` (the default ``linear`` method),
+        bit for bit: the same virtual index and the same two-sided lerp."""
+        ordered = self._sorted
+        last = len(ordered) - 1
+        v = last * (q / 100)
+        lo = int(v)
+        if lo >= last:
+            return ordered[last]
+        a, b = ordered[lo], ordered[lo + 1]
+        g = v - lo
+        if g < 0.5:
+            return a + (b - a) * g
+        return b - (b - a) * (1 - g)
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from repro.batching.buffer import Batch, BatchingBuffer
+from repro.batching.buffer import Batch, RecordingBuffer
 from repro.batching.config import BatchConfig
 from repro.batching.continuous import ContinuousSession, GenRequest
 from repro.core.drift import prediction_drift
@@ -91,7 +91,7 @@ from repro.serving.checkpoint import (
     read_snapshot,
     write_snapshot,
 )
-from repro.serving.degrade import DegradeConfig
+from repro.serving.degrade import DegradeConfig, HedgeWindow
 from repro.serving.guardrail import OPEN, GuardrailConfig, SLOGuardrail
 from repro.serving.log import (
     CRASHED,
@@ -169,7 +169,7 @@ class _RunState:
     trace_name: str
     ts: np.ndarray
     n: int
-    buffer: BatchingBuffer
+    buffer: RecordingBuffer
     pool: WarmPool
     heap: list
     seq: int
@@ -202,7 +202,7 @@ class _RunState:
     # Infrastructure faults & degradation (None unless an
     # OutageModel/DegradeConfig or fleet failover needs them).
     inflight: dict | None = None
-    hedge_obs: deque | None = None
+    hedge_obs: HedgeWindow | None = None
     hedged: np.ndarray | None = None
     failed_over: np.ndarray | None = None
     # Outputs.
@@ -555,7 +555,7 @@ class ServingEngine:
             trace_name=trace_name,
             ts=ts,
             n=n,
-            buffer=BatchingBuffer(self.initial_config),
+            buffer=RecordingBuffer(self.initial_config),
             pool=self._make_pool(),
             heap=[],
             seq=0,
@@ -611,7 +611,7 @@ class ServingEngine:
             # dispatch; a crash or hedge check looks its victim up here.
             st.inflight = {}
         if self._hedge is not None:
-            st.hedge_obs = deque(maxlen=self._hedge.window)
+            st.hedge_obs = HedgeWindow(self._hedge.window)
             st.hedged = np.zeros(n, dtype=bool)
         if self._failover_enabled:
             st.failed_over = np.zeros(n, dtype=bool)
@@ -1141,9 +1141,8 @@ class ServingEngine:
             if hedge is not None:
                 obs = st.hedge_obs
                 if len(obs) >= hedge.min_observations:
-                    hedge_at = now + hedge.multiplier * float(
-                        np.percentile(obs, hedge.percentile)
-                    )
+                    hedge_at = now + hedge.multiplier * obs.percentile(
+                        hedge.percentile)
                     if hedge_at < completion:
                         self._push(st, hedge_at, _P_HEDGE, _K_HEDGE, cid)
                 # The current batch joins the window only after the delay
@@ -1686,6 +1685,7 @@ class ServingEngine:
         stats = st.pool.stats
         (b_dispatch, b_start, b_sizes, b_costs, b_cold, b_memory,
          b_retries, b_kinds, b_ends) = st.batches.arrays()
+        buffer_times, buffer_sizes = st.buffer.dispatches()
         counts = dict(st.counters)
         # The failed mask is the one source of truth: a hedge that beats a
         # faulted primary clears its requests' verdict.
@@ -1710,6 +1710,8 @@ class ServingEngine:
                 float(m): st.pool.cold_delay(m)
                 for m in np.unique(b_memory[b_cold])
             },
+            buffer_dispatch_times=buffer_times,
+            buffer_dispatch_sizes=buffer_sizes,
             decisions=st.decisions,
             cold_starts=stats.cold_starts,
             warm_starts=stats.warm_starts,

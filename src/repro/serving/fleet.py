@@ -531,6 +531,7 @@ class FleetEngine:
 
         for i in range(len(lanes)):
             rekey(i)
+        queues = [st.queue for _eng, st, _ctx in lanes]
 
         while True:
             head = None
@@ -562,12 +563,16 @@ class FleetEngine:
             eng, st, ctx = lanes[i]
             eng._step(st, ctx)
             st.events_processed += 1
-            if degrading:
+            if degrading and any(queues):
                 # A completion (or eviction headroom) in one lane can
                 # unblock batches queued in another; the lanes' own
                 # completion handlers only drain their own queues. The
                 # failover and brownout passes run on the same cadence:
                 # after every fleet step, on the stepped lane's clock.
+                # With every queue empty all three passes are no-ops (the
+                # drain loops on a queue, failover owners need
+                # ``min_queue >= 1`` batches, brownout needs more than
+                # ``max_total_queued >= 0``), so they are skipped.
                 now = float(st.clock)
                 changed = (
                     self._drain_queues(lanes, now)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.batching.buffer import publish_dispatch_telemetry
 from repro.batching.config import BatchConfig
 from repro.evaluation.harness import ExperimentLog, SegmentOutcome
 from repro.evaluation.metrics import (
@@ -156,6 +157,13 @@ class ServingLog:
     end_times: np.ndarray = field(default_factory=lambda: np.empty(0))
     #: Cold-start delay of this lane's pool per memory tier it cold-started.
     cold_delays: dict[float, float] = field(default_factory=dict)
+    # Per buffer dispatch (dispatch order): a batch leaving the size/timeout
+    # buffer, whether it then ran, queued or was shed. Empty for a
+    # continuous-batching run, which has no buffer.
+    buffer_dispatch_times: np.ndarray = field(
+        default_factory=lambda: np.empty(0))
+    buffer_dispatch_sizes: np.ndarray = field(
+        default_factory=lambda: np.empty(0, int))
     # Control plane.
     decisions: list[ServingDecision] = field(default_factory=list)
     reconfigurations: int = 0
@@ -447,10 +455,12 @@ def publish_telemetry(log: ServingLog | FleetLog, registry,
                       prefix: str = "serving") -> None:
     """Add one finished run's counters and histograms to ``registry``.
 
-    A :class:`ServingLog` becomes the ``<prefix>.*`` instruments; a
+    A :class:`ServingLog` becomes the ``<prefix>.*`` instruments plus its
+    buffer's ``buffer.*`` histograms and ``DispatchEvent``\\ s; a
     :class:`FleetLog` publishes each lane under ``<prefix>.<endpoint>``
-    plus ``fleet.scheduler_plans``. The unprefixed ``guardrail.*`` and
-    ``checkpoint.snapshots`` counters sum across lanes. Values are added
+    plus ``fleet.scheduler_plans``. The unprefixed ``guardrail.*``,
+    ``checkpoint.snapshots`` and ``buffer.*`` instruments sum across
+    lanes. Values are added
     (``inc``/``observe_many``), so several runs into one registry add up;
     a counter is published only when nonzero and a histogram only with
     observations, so each dashboard section appears exactly when its
@@ -463,6 +473,9 @@ def publish_telemetry(log: ServingLog | FleetLog, registry,
         histograms = {}
     else:
         counters, histograms = _instruments(log, prefix)
+        publish_dispatch_telemetry(registry, log.buffer_dispatch_times,
+                                   log.buffer_dispatch_sizes,
+                                   log.arrival_times)
     for name, value in counters.items():
         if value:
             registry.counter(name).inc(value)

@@ -152,6 +152,26 @@ class TestDeepBATController:
         assert sum(b.size for b in batches) == ts.size
         assert len(decisions) >= 1
 
+    def test_serve_publishes_buffer_telemetry(self, trained_tiny):
+        from repro.telemetry.metrics import MetricsRegistry, use_registry
+
+        ctrl = DeepBATController(trained_tiny, configs=GRID)
+        ts = poisson_map(200.0).sample(duration=2.0, seed=2)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            batches, _ = ctrl.serve(ts, slo=0.1, reoptimize_every=64)
+        records = list(registry.records())
+        hist = {r["name"]: r for r in records if r.get("type") == "histogram"}
+        events = [r for r in records if r.get("kind") == "dispatch"]
+        waits = np.concatenate([b.waits() for b in batches])
+        assert hist["buffer.batch_size"]["count"] == len(batches)
+        assert hist["buffer.wait"]["count"] == ts.size
+        assert hist["buffer.wait"]["max"] == waits.max()
+        assert [(e["batch_size"], e["dispatch_time"], e["max_wait"])
+                for e in events] == [
+            (b.size, b.dispatch_time, float(b.waits().max())) for b in batches
+        ]
+
     def test_serve_validation(self, trained_tiny):
         ctrl = DeepBATController(trained_tiny, configs=GRID)
         with pytest.raises(ValueError):

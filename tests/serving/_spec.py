@@ -28,11 +28,12 @@ it:
   ``_enqueue_or_shed``, ``_inject_decision``, ``_on_decision``,
   ``_on_reconfigure``, and the fleet's ``_brownout_pass``). The engine now
   publishes its telemetry once, from the finished log
-  (:func:`repro.serving.log.publish_telemetry`); the spec engines switch
-  that publication off, so their registry holds only the per-event tally
-  it is compared against. Two counters of that tally disagree with the
-  log by design: ``outage.straggler_batches`` skips crashed stragglers,
-  and a generation-buffer run never counts prefill/decode iterations.
+  (:func:`repro.serving.log.publish_telemetry`); the spec engines publish
+  only the buffer's dispatch telemetry from theirs, so their registry
+  holds the per-event tally it is compared against. Two counters of that
+  tally disagree with the log by design: ``outage.straggler_batches``
+  skips crashed stragglers, and a generation-buffer run never counts
+  prefill/decode iterations.
 
 The method bodies are the originals, plus the per-batch row kind and end
 time and the ``queued_batches``/``decision_errors`` counters that the log
@@ -50,7 +51,7 @@ from unittest import mock
 
 import numpy as np
 
-from repro.batching.buffer import Batch
+from repro.batching.buffer import Batch, publish_dispatch_telemetry
 from repro.batching.config import BatchConfig
 from repro.serverless.faults import inject_faults
 from repro.serving import engine as engine_module
@@ -87,15 +88,23 @@ from repro.serving.log import (
     FAILOVER,
     HEDGE,
     PRIMARY,
+    FleetLog,
     ServingDecision,
 )
 from repro.serving.pool import Lease, WarmPool, _Container
 from repro.telemetry.events import ReconfigureEvent, ShedEvent
 
 
-def _no_publish(*args, **kwargs) -> None:
+def _publish_dispatches(log, registry, prefix: str = "serving") -> None:
     """Stands in for ``publish_telemetry`` in the spec engines, so their
-    registry holds only the per-event tally."""
+    registry holds only the per-event tally plus the buffer's dispatch
+    telemetry. That telemetry never belonged to the spec's data plane:
+    the buffer both sides share records its dispatches, and they are
+    published from the log at the end of the run."""
+    for lane in (log.logs.values() if isinstance(log, FleetLog) else [log]):
+        publish_dispatch_telemetry(registry, lane.buffer_dispatch_times,
+                                   lane.buffer_dispatch_sizes,
+                                   lane.arrival_times)
 
 
 # --------------------------------------------------------------- warm pool
@@ -1129,12 +1138,12 @@ class SpecEngine(SpecDataPlane, ServingEngine):
 
     def run(self, *args, **kwargs):
         with mock.patch.object(engine_module, "publish_telemetry",
-                               _no_publish):
+                               _publish_dispatches):
             return super().run(*args, **kwargs)
 
     def restore(self, *args, **kwargs):
         with mock.patch.object(engine_module, "publish_telemetry",
-                               _no_publish):
+                               _publish_dispatches):
             return super().restore(*args, **kwargs)
 
 
@@ -1149,7 +1158,7 @@ class SpecFleetEngine(FleetEngine):
     def run(self, *args, **kwargs):
         with mock.patch.object(fleet_module, "_LaneEngine", SpecLaneEngine), \
                 mock.patch.object(fleet_module, "publish_telemetry",
-                                  _no_publish):
+                                  _publish_dispatches):
             return super().run(*args, **kwargs)
 
     @staticmethod

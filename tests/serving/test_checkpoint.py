@@ -177,8 +177,11 @@ class TestRestoreValidation:
     # ``n_failed`` from the failed mask); format 3 named counters apart from
     # their log fields, wrote 7-column batch rows and kept every released
     # batch in the buffer (format 4 names counters after the log, adds row
-    # kinds and end times, and keeps only pending requests).
-    @pytest.mark.parametrize("old", [1, 2, 3])
+    # kinds and end times, and keeps only pending requests); format 4
+    # buffers kept no dispatch record and hedge windows were bare deques
+    # (format 5 keeps each dispatch's time and size, for the buffer
+    # telemetry, and a sorted hedge window).
+    @pytest.mark.parametrize("old", [1, 2, 3, 4])
     def test_older_format_snapshot_is_refused(self, tmp_path, old):
         ts = trace(n=400)
         ck = tmp_path / f"v{old}.ckpt"
@@ -187,13 +190,13 @@ class TestRestoreValidation:
                                crash_after_events=100)
         with open(ck, "rb") as fh:
             payload = pickle.load(fh)
-        assert SNAPSHOT_FORMAT == 4 and payload["format"] == 4
+        assert SNAPSHOT_FORMAT == 5 and payload["format"] == 5
         payload["format"] = old
         with open(ck, "wb") as fh:
             pickle.dump(payload, fh)
         with pytest.raises(CheckpointError,
                            match=rf"unsupported format {old} "
-                                 r"\(this build reads format 4\)"):
+                                 r"\(this build reads format 5\)"):
             build_engine().restore(ck)
 
     def test_corrupt_snapshot_is_a_clear_error(self, tmp_path):

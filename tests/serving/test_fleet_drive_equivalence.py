@@ -1,11 +1,13 @@
 """Heap-merged fleet loop ≡ scan-every-lane specification, bit-for-bit.
 
 The speed pass replaced the fleet's O(lanes)-per-event selection scan with
-a lane-key heap (:meth:`FleetEngine._drive_lanes`); the original loop is
-kept verbatim as ``ScanFleetEngine`` in ``tests/serving/_spec.py``. These
+a lane-key heap (:meth:`FleetEngine._drive_lanes`), which also skips the
+cross-lane drain, failover and brownout passes while every lane's queue
+is empty; the original loop, running the passes after every step, is kept
+verbatim as ``ScanFleetEngine`` in ``tests/serving/_spec.py``. These
 tests run both over the same fleets — shared budget, per-lane choosers,
-faults, and scheduler ticks — and require identical logs, event traces
-included.
+faults, scheduler ticks, and the degradation passes at the edges of that
+gate — and require identical logs, event traces included.
 """
 
 import numpy as np
@@ -15,9 +17,16 @@ from repro.batching.config import BatchConfig
 from repro.core.types import Decision
 from repro.serverless.faults import FaultModel
 from repro.serverless.platform import ServerlessPlatform
-from repro.serving import ServingLog, WarmPoolConfig
+from repro.serving import (
+    BrownoutConfig,
+    FailoverConfig,
+    ServingLog,
+    WarmPoolConfig,
+)
 from repro.serving.fleet import EndpointSpec, FleetEngine, FleetScheduler
+from repro.telemetry.metrics import MetricsRegistry, use_registry
 from tests.serving._spec import ScanFleetEngine as _ScanFleet
+from tests.serving.test_data_plane_equivalence import assert_logs_equal
 
 pytestmark = pytest.mark.fleet
 
@@ -122,3 +131,46 @@ class TestHeapEqualsScan:
             "scheduler": scheduler, "scheduler_interval_s": 2.0,
         })
         assert log.fleet_decisions >= 1
+
+
+#: Degradation passes where queues form but the passes mostly idle: the
+#: gate opens on any queued batch, and each pass must then act exactly as
+#: the scan loop's unconditional one. name -> (fleet kwargs, arrival rate,
+#: {ServingLog field: must be engaged (> 0) in some lane}).
+GATE_CELLS = {
+    # Every queued batch is shed at once: queues never outlive a step.
+    "brownout_cap_zero": (dict(brownout=BrownoutConfig(max_total_queued=0)),
+                          150.0, ("queued_batches", "brownout_shed")),
+    # Queues one or two deep never reach the failover threshold.
+    "failover_min_queue_3": (dict(failover=FailoverConfig(min_queue=3)),
+                             150.0, ("queued_batches",)),
+    # Degrading without a shared budget: no drain pass, only the other two.
+    "no_shared_budget": (dict(brownout=BrownoutConfig(max_total_queued=4),
+                              failover=FailoverConfig(min_queue=1)),
+                         400.0, ("failover_batches", "brownout_shed")),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(GATE_CELLS))
+def test_gated_passes_match_scan(cell):
+    kwargs, lam, engaged = GATE_CELLS[cell]
+    traffic = make_traffic(lam=lam)
+
+    def run(cls, telemetry):
+        engine = cls(make_specs(faults=True), **kwargs)
+        if not telemetry:
+            return engine.run(traffic, record_trace=True)
+        with use_registry(MetricsRegistry()):
+            return engine.run(traffic, record_trace=True)
+
+    logs = {(cls, telemetry): run(cls, telemetry)
+            for cls in (FleetEngine, _ScanFleet) for telemetry in (False, True)}
+    reference = logs[FleetEngine, False]
+    for log in logs.values():
+        for name in reference.endpoints:
+            assert_logs_equal(log[name], reference[name])
+    lanes = reference.logs.values()
+    for field in engaged:
+        assert any(getattr(lane, field) > 0 for lane in lanes), field
+    if cell == "failover_min_queue_3":
+        assert not any(lane.failover_batches for lane in lanes)

@@ -5,7 +5,8 @@ The engine keeps one count of a run — its :class:`ServingLog` — and
 ``serving.*`` counters and histograms. These tests pin that mapping
 field by field over every data-plane cell, the ``fleet_outage`` fleet
 shape, continuous generation, prewarming, the guardrail and a failing
-controller; pin that a restored run (a restore of a restore included)
+controller, the buffer's ``buffer.*`` histograms and ``DispatchEvent``\\ s
+included; pin that a restored run (a restore of a restore included)
 publishes what the uninterrupted run does; and lint the engine so no
 per-event registry tally grows back beside the log.
 """
@@ -93,6 +94,12 @@ GEN_COUNTERS = {
     "gen.prefill_iterations": lambda log: log.gen_prefill_iterations,
     "gen.decode_iterations": lambda log: log.gen_decode_iterations,
 }
+#: Unprefixed histograms, summed over a fleet's lanes: the buffer's
+#: batches and the wait of every request they held.
+SHARED_HISTOGRAM_COUNTS = {
+    "buffer.batch_size": lambda log: log.buffer_dispatch_sizes.size,
+    "buffer.wait": lambda log: int(log.buffer_dispatch_sizes.sum()),
+}
 #: Unprefixed counters, summed over a fleet's lanes.
 SHARED_COUNTERS = {
     "guardrail.tripped": lambda log: log.guardrail_trips,
@@ -132,6 +139,13 @@ def instruments(registry: MetricsRegistry) -> tuple[dict, dict]:
     return counters, histograms
 
 
+def dispatch_events(registry: MetricsRegistry) -> list[dict]:
+    """The ``DispatchEvent`` records, without their emission offsets."""
+    return [{k: v for k, v in record.items() if k != "t"}
+            for record in registry.records()
+            if record.get("kind") == "dispatch"]
+
+
 def assert_published(registry: MetricsRegistry, logs: dict) -> None:
     """Every instrument in ``registry`` equals its log quantity, and every
     nonzero quantity is published; ``logs`` maps prefix -> lane log."""
@@ -149,13 +163,16 @@ def assert_published(registry: MetricsRegistry, logs: dict) -> None:
         for name, value in SHARED_COUNTERS.items():
             expected_counters[name] = (expected_counters.get(name, 0)
                                        + value(log))
+        for name, count in SHARED_HISTOGRAM_COUNTS.items():
+            expected_counts[name] = expected_counts.get(name, 0) + count(log)
     expected_counters = {k: v for k, v in expected_counters.items() if v}
     expected_counts = {k: v for k, v in expected_counts.items() if v}
     counters.pop("fleet.scheduler_plans", None)
     assert counters == pytest.approx(expected_counters, rel=1e-12)
-    served = {name: record["count"] for name, record in histograms.items()
-              if not name.startswith("buffer.")}
-    assert served == expected_counts
+    assert ({name: record["count"] for name, record in histograms.items()}
+            == expected_counts)
+    assert len(dispatch_events(registry)) == sum(
+        log.buffer_dispatch_sizes.size for log in logs.values())
 
 
 # ------------------------------------------------------------ publication
@@ -270,16 +287,14 @@ def restore_engine():
 RESTORE_ONLY = ("checkpoint.restores", "checkpoint.replayed_events")
 
 
-def published(registry: MetricsRegistry) -> tuple[dict, dict]:
-    """The engine's instruments: the buffer's ``buffer.*`` histograms are
-    still observed per dispatch, so a restored run holds only its own
-    share of them."""
+def published(registry: MetricsRegistry) -> tuple[dict, dict, list]:
+    """The engine's instruments and its buffer's ``DispatchEvent``\\ s."""
     counters, histograms = instruments(registry)
     for name in RESTORE_ONLY:
         counters.pop(name, None)
-    return counters, {name: (h["count"], h["min"], h["max"])
-                      for name, h in histograms.items()
-                      if not name.startswith("buffer.")}
+    extremes = {name: (h["count"], h["min"], h["max"])
+                for name, h in histograms.items()}
+    return counters, extremes, dispatch_events(registry)
 
 
 @pytest.fixture(scope="module")
@@ -305,9 +320,13 @@ def test_restored_run_publishes_the_uninterrupted_telemetry(
         restored = restore_engine().restore(path)
     assert restored.checkpoints == log.checkpoints
     assert published(registry) == published(clean)
-    counters, _ = instruments(registry)
+    counters, histograms = instruments(registry)
     assert counters["checkpoint.restores"] == 1
     assert counters["serving.requests"] == 4000
+    # Every buffer dispatch of the whole run, the crashed leg's included.
+    dispatches = log.buffer_dispatch_sizes.size
+    assert histograms["buffer.batch_size"]["count"] == dispatches
+    assert len(dispatch_events(registry)) == dispatches
 
 
 def test_chaos_restores_publish_the_uninterrupted_telemetry(
@@ -320,8 +339,12 @@ def test_chaos_restores_publish_the_uninterrupted_telemetry(
             checkpoint_every=64, max_events=log.n_events)
     assert len(kills) == 3  # a restore of a restore of a restore
     assert published(registry) == published(clean)
-    counters, _ = instruments(registry)
+    counters, histograms = instruments(registry)
     assert counters["checkpoint.restores"] == 3
+    # The replayed stretches of the killed legs are not counted twice.
+    dispatches = log.buffer_dispatch_sizes.size
+    assert histograms["buffer.batch_size"]["count"] == dispatches
+    assert len(dispatch_events(registry)) == dispatches
 
 
 # --------------------------------------------------------------------- lint
